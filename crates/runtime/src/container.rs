@@ -1,17 +1,13 @@
-//! Batched message transport: the [`Container`] abstraction.
+//! Batched message transport: the [`Batch`] container.
 //!
-//! Every channel of the engines carries *containers* rather than raw
-//! [`Message`]s.  A container is an ordered run of messages — data messages
-//! interleaved with run-length-encoded dummy gaps — that travels through an
-//! SPSC ring as a single slot write.  Two implementations exist:
-//!
-//! * [`Single`] — exactly one message per container.  This is the scalar
-//!   path: every ring operation, wake check and wrapper call happens once
-//!   per message, reproducing the pre-container engines byte for byte.
-//! * [`Batch`] — a columnar run of messages (individual data entries plus
-//!   RLE dummy segments).  One ring push ships a whole run, so the
-//!   per-message cost of the atomics, the Dekker wake fences and the
-//!   scheduler hand-offs is amortised across the run.
+//! Every channel of the pooled engine carries *containers* rather than raw
+//! [`Message`]s.  A [`Batch`] is an ordered run of messages — individual
+//! data entries interleaved with run-length-encoded dummy gaps — that
+//! travels through an SPSC ring as a single slot write, so the per-message
+//! cost of the atomics, the Dekker wake fences and the scheduler hand-offs
+//! is amortised across the run.  [`Batching::Messages`]`(1)` caps every
+//! container at one message: the channel traffic of a one-message-per-slot
+//! engine.
 //!
 //! ## The capacity-unit invariant
 //!
@@ -19,8 +15,8 @@
 //! of capacity `c` admits containers whose message weights sum to at most
 //! `c` (see [`crate::spsc::Weigh`] and [`crate::spsc::MsgCap`]).  Occupancy
 //! is released per *consumed message*, not per popped container, so the
-//! blocking behaviour — and therefore every deadlock verdict — is identical
-//! to the scalar engines regardless of how messages are grouped.
+//! blocking behaviour — and therefore every deadlock verdict — is the
+//! simulator's regardless of how messages are grouped.
 //!
 //! The confluence argument of the Kahn-network model does the rest: a
 //! node's accepted-sequence stream is schedule-independent, so per-edge
@@ -34,9 +30,6 @@ use crate::spsc::{self, Weigh};
 /// How an engine groups messages into containers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Batching {
-    /// One message per container: the scalar path, byte-for-byte identical
-    /// to the pre-container engines.
-    Scalar,
     /// Containers carry up to this many messages (clamped to ≥ 1 and to
     /// each channel's capacity).
     Messages(u32),
@@ -49,7 +42,6 @@ impl Batching {
     /// The per-container message limit this mode implies.
     pub fn limit(self) -> usize {
         match self {
-            Batching::Scalar => 1,
             Batching::Messages(n) => (n as usize).max(1),
             Batching::Unbounded => usize::MAX,
         }
@@ -60,86 +52,6 @@ impl Default for Batching {
     /// Batching on, 64 messages per container — the pooled engines' default.
     fn default() -> Self {
         Batching::Messages(64)
-    }
-}
-
-/// An ordered run of messages travelling a channel as one ring slot.
-///
-/// Invariants every implementation upholds (and [`Batch::try_push`]
-/// enforces):
-///
-/// * sequence numbers are non-decreasing front to back, strictly increasing
-///   except that a dummy may immediately follow a data message with the
-///   *same* sequence number (the heartbeat trigger emits both);
-/// * a container on a ring is never empty;
-/// * nothing follows an EOS marker.
-pub trait Container: Weigh + Send + 'static {
-    /// Wraps one message.
-    fn from_message(m: Message) -> Self;
-    /// Remaining messages.
-    fn len(&self) -> usize {
-        self.weight()
-    }
-    /// True when no message remains.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// The front message.  Panics if empty.
-    fn front(&self) -> Message;
-    /// Removes and returns the front message.
-    fn pop_front(&mut self) -> Option<Message>;
-    /// Unwraps a container known to hold exactly one message.
-    fn into_message(self) -> Message;
-    /// Appends `m` if the container holds fewer than `limit` messages and
-    /// the ordering invariant allows it; hands `m` back otherwise.
-    fn try_push(&mut self, limit: usize, m: Message) -> Result<(), Message>;
-    /// Remaining `(data, dummy)` message counts (EOS counts as neither).
-    fn counts(&self) -> (u64, u64);
-    /// Visits the remaining messages front to back (checkpoint flattening).
-    fn for_each(&self, f: &mut dyn FnMut(Message));
-}
-
-// ---------------------------------------------------------------- Single --
-
-/// The scalar container: exactly one message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(transparent)]
-pub struct Single(pub Message);
-
-impl Weigh for Single {
-    const UNIT: bool = true;
-    fn weight(&self) -> usize {
-        1
-    }
-}
-
-impl Container for Single {
-    fn from_message(m: Message) -> Self {
-        Single(m)
-    }
-    fn front(&self) -> Message {
-        self.0
-    }
-    fn pop_front(&mut self) -> Option<Message> {
-        // A `Single` is popped by value via `into_message` on the scalar
-        // path; the by-ref form exists only for trait completeness.
-        Some(self.0)
-    }
-    fn into_message(self) -> Message {
-        self.0
-    }
-    fn try_push(&mut self, _limit: usize, m: Message) -> Result<(), Message> {
-        Err(m)
-    }
-    fn counts(&self) -> (u64, u64) {
-        match self.0 {
-            Message::Data { .. } => (1, 0),
-            Message::Dummy { .. } => (0, 1),
-            Message::Eos => (0, 0),
-        }
-    }
-    fn for_each(&self, f: &mut dyn FnMut(Message)) {
-        f(self.0);
     }
 }
 
@@ -178,10 +90,18 @@ pub enum Run {
 /// A columnar run of messages: data entries plus run-length-encoded dummy
 /// gaps, consumed front to back.
 ///
+/// Invariants (enforced by [`Batch::try_push`]):
+///
+/// * sequence numbers are non-decreasing front to back, strictly increasing
+///   except that a dummy may immediately follow a data message with the
+///   *same* sequence number (the heartbeat trigger emits both);
+/// * a batch on a ring is never empty;
+/// * nothing follows an EOS marker.
+///
 /// Segments live in a plain `Vec` with a front cursor (`head`): popping
 /// advances the cursor instead of shifting memory, and the vector resets
 /// (retaining its allocation) whenever the batch drains.  Data/dummy counts
-/// are maintained incrementally so [`Container::counts`] — called twice per
+/// are maintained incrementally so [`Batch::counts`] — called twice per
 /// delivered container by the flush loop — is O(1).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Batch {
@@ -343,6 +263,114 @@ impl Batch {
         self.dummies += take;
         take
     }
+
+    /// A batch holding exactly `m`.
+    #[inline]
+    pub fn from_message(m: Message) -> Self {
+        let mut b = Batch::new();
+        b.try_push(usize::MAX, m).expect("push into empty batch");
+        b
+    }
+
+    /// Remaining messages.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no message remains.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The front message.  Panics if empty.
+    #[inline]
+    pub fn front(&self) -> Message {
+        match self.front_run().expect("front of empty batch") {
+            Run::Data { seq, payload } => Message::Data { seq, payload },
+            Run::Dummies { first, .. } => Message::Dummy { seq: first },
+            Run::Eos => Message::Eos,
+        }
+    }
+
+    /// Removes and returns the front message.
+    #[inline]
+    pub fn pop_front(&mut self) -> Option<Message> {
+        let run = self.front_run()?;
+        Some(match run {
+            Run::Data { seq, payload } => {
+                self.len -= 1;
+                self.data -= 1;
+                self.advance_seg();
+                Message::Data { seq, payload }
+            }
+            Run::Dummies { first, .. } => {
+                self.consume_dummies(1);
+                Message::Dummy { seq: first }
+            }
+            Run::Eos => {
+                self.len -= 1;
+                self.advance_seg();
+                Message::Eos
+            }
+        })
+    }
+
+    /// Appends `m` if the batch holds fewer than `limit` messages and the
+    /// ordering invariant allows it; hands `m` back otherwise.
+    #[inline]
+    pub fn try_push(&mut self, limit: usize, m: Message) -> Result<(), Message> {
+        if self.len >= limit {
+            return Err(m);
+        }
+        // Ordering: strictly increasing, except a dummy may share the
+        // sequence number of an immediately preceding data message.
+        if let Some((last, last_is_data)) = self.back_seq() {
+            let ok = m.seq() > last || (m.is_dummy() && m.seq() == last && last_is_data);
+            if !ok {
+                return Err(m);
+            }
+        }
+        match m {
+            Message::Data { seq, payload } => {
+                self.segs.push(Seg::Data { seq, payload });
+                self.data += 1;
+            }
+            Message::Dummy { seq } => {
+                match self.segs.last_mut() {
+                    Some(Seg::Dummies { first, len }) if *first + *len == seq => *len += 1,
+                    _ => self.segs.push(Seg::Dummies { first: seq, len: 1 }),
+                }
+                self.dummies += 1;
+            }
+            Message::Eos => self.segs.push(Seg::Eos),
+        }
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Remaining `(data, dummy)` message counts (EOS counts as neither).
+    #[inline]
+    pub fn counts(&self) -> (u64, u64) {
+        (self.data, self.dummies)
+    }
+
+    /// Visits the remaining messages front to back (checkpoint flattening).
+    pub fn for_each(&self, f: &mut dyn FnMut(Message)) {
+        for (i, seg) in self.segs[self.head..].iter().enumerate() {
+            match *seg {
+                Seg::Data { seq, payload } => f(Message::Data { seq, payload }),
+                Seg::Dummies { first, len } => {
+                    let skip = if i == 0 { self.skip } else { 0 };
+                    for k in skip..len {
+                        f(Message::Dummy { seq: first + k });
+                    }
+                }
+                Seg::Eos => f(Message::Eos),
+            }
+        }
+    }
 }
 
 impl Weigh for Batch {
@@ -380,97 +408,6 @@ impl Weigh for Batch {
     }
 }
 
-impl Container for Batch {
-    fn from_message(m: Message) -> Self {
-        let mut b = Batch::new();
-        b.try_push(usize::MAX, m).expect("push into empty batch");
-        b
-    }
-
-    fn front(&self) -> Message {
-        match self.front_run().expect("front of empty batch") {
-            Run::Data { seq, payload } => Message::Data { seq, payload },
-            Run::Dummies { first, .. } => Message::Dummy { seq: first },
-            Run::Eos => Message::Eos,
-        }
-    }
-
-    fn pop_front(&mut self) -> Option<Message> {
-        let run = self.front_run()?;
-        Some(match run {
-            Run::Data { seq, payload } => {
-                self.len -= 1;
-                self.data -= 1;
-                self.advance_seg();
-                Message::Data { seq, payload }
-            }
-            Run::Dummies { first, .. } => {
-                self.consume_dummies(1);
-                Message::Dummy { seq: first }
-            }
-            Run::Eos => {
-                self.len -= 1;
-                self.advance_seg();
-                Message::Eos
-            }
-        })
-    }
-
-    fn into_message(mut self) -> Message {
-        debug_assert_eq!(self.len, 1);
-        self.pop_front().expect("non-empty")
-    }
-
-    fn try_push(&mut self, limit: usize, m: Message) -> Result<(), Message> {
-        if self.len >= limit {
-            return Err(m);
-        }
-        // Ordering: strictly increasing, except a dummy may share the
-        // sequence number of an immediately preceding data message.
-        if let Some((last, last_is_data)) = self.back_seq() {
-            let ok = m.seq() > last || (m.is_dummy() && m.seq() == last && last_is_data);
-            if !ok {
-                return Err(m);
-            }
-        }
-        match m {
-            Message::Data { seq, payload } => {
-                self.segs.push(Seg::Data { seq, payload });
-                self.data += 1;
-            }
-            Message::Dummy { seq } => {
-                match self.segs.last_mut() {
-                    Some(Seg::Dummies { first, len }) if *first + *len == seq => *len += 1,
-                    _ => self.segs.push(Seg::Dummies { first: seq, len: 1 }),
-                }
-                self.dummies += 1;
-            }
-            Message::Eos => self.segs.push(Seg::Eos),
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    fn counts(&self) -> (u64, u64) {
-        (self.data, self.dummies)
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(Message)) {
-        for (i, seg) in self.segs[self.head..].iter().enumerate() {
-            match *seg {
-                Seg::Data { seq, payload } => f(Message::Data { seq, payload }),
-                Seg::Dummies { first, len } => {
-                    let skip = if i == 0 { self.skip } else { 0 };
-                    for k in skip..len {
-                        f(Message::Dummy { seq: first + k });
-                    }
-                }
-                Seg::Eos => f(Message::Eos),
-            }
-        }
-    }
-}
-
 // ---------------------------------------------- ring endpoint extensions --
 
 /// Container-granular consumption on an SPSC consumer endpoint.
@@ -479,23 +416,17 @@ impl Container for Batch {
 /// container), which keeps ring occupancy equal to the modelled channel
 /// occupancy at every instant — the invariant the deadlock verdicts rest
 /// on.
-pub trait ConsumeMsgs<C: Container> {
+impl spsc::Consumer<Batch> {
     /// Peeks the front message of the front container.
-    fn front_msg(&mut self) -> Option<Message>;
-    /// Peeks the front message, registering the blocked-on-empty waiting
-    /// flag (with the mandatory Dekker re-peek) when the ring is empty.
-    fn front_msg_or_register(&mut self) -> Option<Message>;
-    /// Consumes the front message, releasing one message of capacity and
-    /// freeing the slot if its container is exhausted.
-    fn pop_msg(&mut self) -> Option<Message>;
-}
-
-impl<C: Container> ConsumeMsgs<C> for spsc::Consumer<C> {
-    fn front_msg(&mut self) -> Option<Message> {
+    #[inline]
+    pub(crate) fn front_msg(&mut self) -> Option<Message> {
         self.front_mut().map(|c| c.front())
     }
 
-    fn front_msg_or_register(&mut self) -> Option<Message> {
+    /// Peeks the front message, registering the blocked-on-empty waiting
+    /// flag (with the mandatory Dekker re-peek) when the ring is empty.
+    #[inline]
+    pub(crate) fn front_msg_or_register(&mut self) -> Option<Message> {
         if let Some(m) = self.front_msg() {
             return Some(m);
         }
@@ -509,10 +440,10 @@ impl<C: Container> ConsumeMsgs<C> for spsc::Consumer<C> {
         }
     }
 
-    fn pop_msg(&mut self) -> Option<Message> {
-        if C::UNIT {
-            return self.pop().map(C::into_message);
-        }
+    /// Consumes the front message, releasing one message of capacity and
+    /// freeing the slot if its container is exhausted.
+    #[inline]
+    pub(crate) fn pop_msg(&mut self) -> Option<Message> {
         let c = self.front_mut()?;
         let m = c.pop_front();
         debug_assert!(m.is_some(), "empty container on a ring");
@@ -528,28 +459,13 @@ impl<C: Container> ConsumeMsgs<C> for spsc::Consumer<C> {
 /// Container delivery on an SPSC producer endpoint: ships a staged
 /// container whole when it fits the remaining message capacity, or splits
 /// off the largest deliverable prefix and leaves the remainder staged.
-pub trait DeliverMsgs<C: Container> {
+impl spsc::Producer<Batch> {
     /// Attempts to deliver `staged`; returns the number of messages that
     /// made it onto the ring.  On partial (or zero) delivery the remainder
     /// stays in `staged`.
-    fn deliver(&mut self, staged: &mut Option<C>) -> usize;
-    /// [`DeliverMsgs::deliver`], registering the blocked-on-full waiting
-    /// flag (with the mandatory Dekker retry) when anything stays staged.
-    fn deliver_or_register(&mut self, staged: &mut Option<C>) -> usize;
-}
-
-impl<C: Container> DeliverMsgs<C> for spsc::Producer<C> {
-    fn deliver(&mut self, staged: &mut Option<C>) -> usize {
+    #[inline]
+    pub(crate) fn deliver(&mut self, staged: &mut Option<Batch>) -> usize {
         let Some(c) = staged.take() else { return 0 };
-        if C::UNIT {
-            return match self.push(c) {
-                Ok(()) => 1,
-                Err(back) => {
-                    *staged = Some(back);
-                    0
-                }
-            };
-        }
         let space = self.space_msgs();
         if space == 0 {
             *staged = Some(c);
@@ -576,7 +492,10 @@ impl<C: Container> DeliverMsgs<C> for spsc::Producer<C> {
         }
     }
 
-    fn deliver_or_register(&mut self, staged: &mut Option<C>) -> usize {
+    /// [`spsc::Producer::deliver`], registering the blocked-on-full waiting
+    /// flag (with the mandatory Dekker retry) when anything stays staged.
+    #[inline]
+    pub(crate) fn deliver_or_register(&mut self, staged: &mut Option<Batch>) -> usize {
         let mut n = self.deliver(staged);
         if staged.is_none() {
             return n;
@@ -676,18 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn single_matches_message_semantics() {
-        let s = Single::from_message(Message::Data { seq: 3, payload: 8 });
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.front(), Message::Data { seq: 3, payload: 8 });
-        assert_eq!(s.counts(), (1, 0));
-        assert_eq!(s.into_message(), Message::Data { seq: 3, payload: 8 });
-        let mut d = Single::from_message(Message::Dummy { seq: 0 });
-        assert!(d.try_push(64, Message::Dummy { seq: 1 }).is_err());
-        assert_eq!(d.counts(), (0, 1));
-    }
-
-    #[test]
     fn ring_occupancy_is_in_messages_not_containers() {
         // Capacity 4: one 3-message batch + one 1-message batch fill it.
         let (mut tx, mut rx) = spsc::ring::<Batch>(MsgCap::new(4));
@@ -722,13 +629,13 @@ mod tests {
         }
         let mut staged = Some(b);
         assert_eq!(tx.deliver_or_register(&mut staged), 4, "prefix shipped");
-        assert_eq!(staged.as_ref().map(Container::len), Some(2));
+        assert_eq!(staged.as_ref().map(Batch::len), Some(2));
         // The producer stays registered: the consumer's pops must report it.
         assert_eq!(rx.pop_msg(), Some(Message::Dummy { seq: 0 }));
         assert!(rx.take_producer_waiting());
         // One message of space opened, so exactly one more message ships.
         assert_eq!(tx.deliver_or_register(&mut staged), 1);
-        assert_eq!(staged.as_ref().map(Container::len), Some(1));
+        assert_eq!(staged.as_ref().map(Batch::len), Some(1));
         assert_eq!(rx.pop_msg(), Some(Message::Dummy { seq: 1 }));
         assert!(rx.take_producer_waiting());
         assert_eq!(tx.deliver_or_register(&mut staged), 1);

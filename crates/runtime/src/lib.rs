@@ -15,24 +15,20 @@
 //!
 //! * [`Simulator`] — a deterministic, single-threaded discrete-event
 //!   executor with *exact* deadlock detection (it knows precisely when no
-//!   node can make progress), used by the tests and benchmarks;
-//! * [`PooledExecutor`] — the scalable concurrent engine: a fixed
-//!   work-stealing worker pool drives every node as a cooperatively
-//!   scheduled task over lock-free SPSC rings ([`spsc`]), with the same
-//!   exact parked-pool deadlock verdict as the simulator;
-//! * [`SharedPool`] — the multi-tenant engine behind the service layer: a
-//!   *long-lived* work-stealing pool on which the node-tasks of many
-//!   independent jobs coexist, with exact per-job completion/deadlock
-//!   verdicts decided by per-job quiescence (no global idleness needed);
-//! * [`ThreadedExecutor`] — one OS thread per node over the same rings,
-//!   parked/unparked per channel, with a progress watchdog for deadlock
-//!   detection; kept as the simplest possible concurrent engine.
+//!   node can make progress), used by the tests and benchmarks as the
+//!   reference semantics;
+//! * the pooled work-stealing engine — a [`SharedPool`] of workers drives
+//!   every node as a cooperatively scheduled task over lock-free SPSC rings
+//!   ([`spsc`]) carrying batched containers ([`Batch`]).  The pool is
+//!   long-lived and multi-tenant: the node-tasks of many independent jobs
+//!   coexist on it, with exact per-job completion/deadlock verdicts decided
+//!   by per-job quiescence.  [`PooledExecutor`] is its one-run front-end: a
+//!   pool sized to the run, one job, the job's report.
 //!
-//! The deliberate pairing lets every experiment be run both exactly and
-//! under real concurrency: the simulator is the reference both concurrent
-//! engines are checked against (a property test pins the pool to the
-//! simulator's verdicts and per-edge counts; unit tests cross-check the
-//! two concurrent engines' data counts against each other).
+//! The pairing lets every experiment be run both exactly and under real
+//! concurrency: the simulator is the reference the pool is checked against
+//! (a property test pins the pool to the simulator's verdicts and per-edge
+//! counts).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,7 +46,6 @@ pub mod simulator;
 pub mod spsc;
 mod task;
 pub mod telemetry;
-pub mod threaded;
 pub mod topology;
 pub mod wrapper;
 
@@ -58,7 +53,7 @@ pub use checkpoint::{
     CheckpointOutcome, JobSnapshot, NodeSnapshot, RestoreError, SnapshotError, SpliceDivergence,
     SwapToken,
 };
-pub use container::{Batch, Batching, Container, Run, Single};
+pub use container::{Batch, Batching, Run};
 pub use faults::{CrashSite, FaultArm, FaultPlan, SnapshotDamage};
 pub use filters::{Bernoulli, Broadcast, Collector, ModuloFilter, RouteRoundRobin};
 pub use message::{Message, Payload};
@@ -68,6 +63,5 @@ pub use report::{BlockedInfo, BlockedReason, ExecutionReport};
 pub use shared_pool::{FilterObservation, JobHandle, JobVerdict, SettleHook, SharedPool};
 pub use simulator::{Scheduler, Simulator};
 pub use telemetry::{chrome_trace, EventKind, JobTimeline, TelemetryHandle, TraceEvent};
-pub use threaded::ThreadedExecutor;
 pub use topology::{BehaviorFactory, Topology};
 pub use wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};

@@ -1,11 +1,12 @@
 //! A long-lived, multi-tenant work-stealing pool: many independent
 //! dataflow jobs execute concurrently on one fixed set of workers.
 //!
-//! [`crate::PooledExecutor`] spins up a scoped pool, runs **one** topology
-//! to its verdict and tears the pool down.  A service multiplexing
-//! thousands of small dataflows cannot afford that: `SharedPool` keeps the
-//! workers alive across jobs and lets the node-tasks of any number of
-//! *independent* topologies coexist in the same per-worker run queues.
+//! This is the one worker pool of the crate.  A service multiplexing
+//! thousands of small dataflows cannot afford a pool per run: `SharedPool`
+//! keeps the workers alive across jobs and lets the node-tasks of any
+//! number of *independent* topologies coexist in the same per-worker run
+//! queues.  [`crate::PooledExecutor`] is its one-run front-end: a pool
+//! sized to the run, one job, torn down at the verdict.
 //! Each queue entry carries its job, so a worker interleaves firings of
 //! different jobs at task granularity — exactly the shared-memory
 //! multicore streaming model, scaled from "operators share workers" to
@@ -13,9 +14,8 @@
 //!
 //! ## Per-job verdicts without global quiescence
 //!
-//! The single-run pool declares deadlock when the whole pool parks with
-//! unfinished nodes.  That test is useless here: one healthy job can keep
-//! the pool busy forever while another is wedged.  `SharedPool` instead
+//! "The whole pool parked with unfinished nodes" is no deadlock test here:
+//! one healthy job can keep the pool busy forever while another is wedged.  `SharedPool` instead
 //! tracks, per job, the number of **active** tasks — tasks that are
 //! queued, running, or flagged for re-run.  Jobs are independent (no
 //! channel crosses a job boundary), so every wakeup a task of job `J` can
@@ -73,25 +73,22 @@ use fila_graph::Graph;
 use crate::checkpoint::{
     self, JobSnapshot, NodeSnapshot, RestoreError, SnapshotError, SwapToken, SNAPSHOT_VERSION,
 };
-use crate::container::{Batch, Batching, Container};
+use crate::container::{Batch, Batching};
 use crate::faults::{FaultArm, FaultPlan};
 use crate::message::Message;
 use crate::report::{BlockedReason, ExecutionReport};
-use crate::task::{self, Outcome};
+use crate::task::{self, Outcome, Task};
 use crate::telemetry::{EventKind, TelemetryHandle, CONTROL_LANE};
 use crate::topology::Topology;
 use crate::wrapper::{AvoidanceMode, PropagationTrigger};
 
-/// The pool always drives container-typed tasks; `Batching::Scalar` maps to
-/// a per-container limit of one message, which the equivalence property
-/// tests pin to the scalar engines' behaviour.
-type Task = task::Task<Batch>;
-
-/// Task scheduling states (one `AtomicU8` per node per job); identical
-/// protocol to [`crate::PooledExecutor`]'s.
+/// Task scheduling states (one `AtomicU8` per node per job).
 const IDLE: u8 = 0;
+/// In some worker's run queue.
 const QUEUED: u8 = 1;
+/// Currently executing on a worker.
 const RUNNING: u8 = 2;
+/// Executing, and a wake arrived meanwhile: re-queue after the run.
 const NOTIFIED: u8 = 3;
 
 /// Job verdict encoding (`JobState::verdict`).
@@ -133,8 +130,10 @@ struct JobState {
     tasks: Vec<Mutex<Task>>,
     states: Vec<AtomicU8>,
     /// Tasks currently queued, running or flagged (see the module docs);
-    /// reaching zero decides the verdict.
-    active: AtomicUsize,
+    /// reaching zero decides the verdict.  Every wake and every
+    /// deactivation writes it, so it sits on a cache line of its own, away
+    /// from the read-mostly fields every task execution loads.
+    active: CachePadded<AtomicUsize>,
     unfinished: AtomicUsize,
     verdict: AtomicU8,
     /// Guards one-shot report assembly.
@@ -174,6 +173,20 @@ struct JobState {
     /// Node index of the task whose execution panicked (`u32::MAX` =
     /// none): the provenance a partial restart restarts downstream of.
     failed_node: AtomicU32,
+}
+
+/// A value alone on its cache line (64 bytes on the targets this runs on):
+/// a counter every worker writes must not share a line with fields every
+/// worker reads.  Its alignment also moves a padded field's enclosing
+/// `Arc` payload off the line holding the `Arc`'s reference counts.
+#[repr(align(64))]
+struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
 }
 
 /// The identity stamped into every snapshot of a job, so restores can
@@ -293,7 +306,7 @@ struct JobSnapSink<'a> {
     worker: usize,
 }
 
-impl task::SnapSink<Batch> for JobSnapSink<'_> {
+impl task::SnapSink for JobSnapSink<'_> {
     fn pending(&self) -> u64 {
         self.job.snap_pending.load(Ordering::Acquire)
     }
@@ -626,6 +639,11 @@ impl std::fmt::Debug for JobHandle {
     }
 }
 
+/// The default worker count: one per available hardware thread.
+pub(crate) fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -644,8 +662,7 @@ struct PoolCore {
     live: Mutex<Vec<Arc<JobState>>>,
     batch: u32,
     /// Container batching mode stamped on every submitted job's rings
-    /// (default [`Batching::default`]; `Scalar` = one message per
-    /// container).
+    /// (default [`Batching::default`]).
     batching: Batching,
     /// Rotates the seeding origin so small jobs spread over all workers.
     next_seed: AtomicUsize,
@@ -678,31 +695,22 @@ impl SharedPool {
     /// Spawns a pool with `workers` worker threads (`0` = one per available
     /// hardware thread) and the default firing batch of 64.
     pub fn new(workers: usize) -> Self {
-        Self::with_config(workers, 64)
+        Self::with_telemetry(workers, 64, None, false)
     }
 
-    /// Spawns a pool with an explicit worker count (`0` = default) and
-    /// per-wake firing batch (clamped to ≥ 1).
-    pub fn with_config(workers: usize, batch: u32) -> Self {
-        Self::with_faults(workers, batch, None)
-    }
-
-    /// [`SharedPool::with_config`] plus a deterministic fault-injection
-    /// schedule (see [`crate::faults`]).  `None` is the production
-    /// configuration: jobs carry no arm and the hot path pays one
-    /// predictable branch per task execution.
-    pub fn with_faults(workers: usize, batch: u32, faults: Option<Arc<FaultPlan>>) -> Self {
-        Self::with_telemetry(workers, batch, faults, false)
-    }
-
-    /// [`SharedPool::with_faults`] plus the flight recorder: when
-    /// `telemetry` is true the pool creates one
+    /// Spawns a pool with an explicit worker count (`0` = default), per-wake
+    /// firing batch (clamped to ≥ 1), an optional deterministic
+    /// fault-injection schedule (see [`crate::faults`]) and the flight
+    /// recorder.
+    ///
+    /// `faults = None` is the production configuration: jobs carry no arm
+    /// and the hot path pays one predictable branch per task execution.
+    /// When `telemetry` is true the pool creates one
     /// [`crate::telemetry::TelemetryHandle`] lane per worker and records
     /// firing spans, steals, parks, blocked stalls, barrier alignments,
     /// faults and job spans into it (retrieve it with
-    /// [`SharedPool::telemetry_handle`]).  When false this is exactly
-    /// [`SharedPool::with_faults`]: no recorder exists and every hook is a
-    /// never-taken `None` branch.
+    /// [`SharedPool::telemetry_handle`]).  When false no recorder exists
+    /// and every hook is a never-taken `None` branch.
     pub fn with_telemetry(
         workers: usize,
         batch: u32,
@@ -725,13 +733,7 @@ impl SharedPool {
         telemetry: bool,
         batching: Batching,
     ) -> Self {
-        let workers = NonZeroUsize::new(workers)
-            .map(NonZeroUsize::get)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
+        let workers = NonZeroUsize::new(workers).map_or_else(available_workers, NonZeroUsize::get);
         let telemetry = telemetry.then(|| TelemetryHandle::new(workers));
         let core = Arc::new(PoolCore {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -817,7 +819,7 @@ impl SharedPool {
             let job = Arc::new(JobState {
                 tasks: Vec::new(),
                 states: Vec::new(),
-                active: AtomicUsize::new(0),
+                active: CachePadded(AtomicUsize::new(0)),
                 unfinished: AtomicUsize::new(0),
                 verdict: AtomicU8::new(JOB_COMPLETED),
                 delivered: AtomicBool::new(true),
@@ -853,7 +855,7 @@ impl SharedPool {
         let job = Arc::new(JobState {
             states: (0..node_count).map(|_| AtomicU8::new(QUEUED)).collect(),
             tasks,
-            active: AtomicUsize::new(node_count),
+            active: CachePadded(AtomicUsize::new(node_count)),
             unfinished: AtomicUsize::new(node_count),
             verdict: AtomicU8::new(JOB_RUNNING),
             delivered: AtomicBool::new(false),
@@ -878,18 +880,8 @@ impl SharedPool {
             failed_node: AtomicU32::new(u32::MAX),
         });
         lock(&self.core.live).push(Arc::clone(&job));
-        // Seed every task once, round-robin from a rotating origin; from
-        // then on the job is scheduled purely by channel events.
-        let base = self.core.next_seed.fetch_add(1, Ordering::Relaxed);
-        for node in 0..node_count {
-            self.core.push(
-                (base + node) % self.core.queues.len(),
-                TaskRef {
-                    job: Arc::clone(&job),
-                    node: node as u32,
-                },
-            );
-        }
+        // From the seeding on the job is scheduled purely by channel events.
+        self.core.seed(&job);
         JobHandle { job, core: Arc::downgrade(&self.core) }
     }
 
@@ -998,7 +990,7 @@ impl SharedPool {
             let job = Arc::new(JobState {
                 tasks,
                 states: (0..node_count).map(|_| AtomicU8::new(IDLE)).collect(),
-                active: AtomicUsize::new(0),
+                active: CachePadded(AtomicUsize::new(0)),
                 unfinished: AtomicUsize::new(0),
                 verdict: AtomicU8::new(JOB_COMPLETED),
                 delivered: AtomicBool::new(true),
@@ -1028,7 +1020,7 @@ impl SharedPool {
         let job = Arc::new(JobState {
             states: (0..node_count).map(|_| AtomicU8::new(QUEUED)).collect(),
             tasks,
-            active: AtomicUsize::new(node_count),
+            active: CachePadded(AtomicUsize::new(node_count)),
             unfinished: AtomicUsize::new(unfinished),
             verdict: AtomicU8::new(JOB_RUNNING),
             delivered: AtomicBool::new(false),
@@ -1053,17 +1045,8 @@ impl SharedPool {
             failed_node: AtomicU32::new(u32::MAX),
         });
         lock(&self.core.live).push(Arc::clone(&job));
-        // Seed every task (done tasks retire themselves on first run).
-        let base = self.core.next_seed.fetch_add(1, Ordering::Relaxed);
-        for node in 0..node_count {
-            self.core.push(
-                (base + node) % self.core.queues.len(),
-                TaskRef {
-                    job: Arc::clone(&job),
-                    node: node as u32,
-                },
-            );
-        }
+        // Done tasks retire themselves on their first run.
+        self.core.seed(&job);
         Ok(JobHandle { job, core: Arc::downgrade(&self.core) })
     }
 
@@ -1135,6 +1118,8 @@ impl PoolCore {
     }
 
     fn worker_loop(&self, worker: usize) {
+        // Tasks woken by the current run, pushed when it ends.
+        let mut woken = Vec::new();
         loop {
             if self.shutdown.load(Ordering::Acquire) {
                 return;
@@ -1152,7 +1137,7 @@ impl PoolCore {
                             );
                         }
                     }
-                    self.execute(worker, tref);
+                    self.execute(worker, tref, &mut woken);
                 }
                 None => {
                     let t_park = self.telemetry.as_ref().map(TelemetryHandle::now_ns);
@@ -1182,12 +1167,44 @@ impl PoolCore {
         None
     }
 
-    fn push(&self, worker: usize, tref: TaskRef) {
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        lock(&self.queues[worker]).push_back(tref);
-        if self.parked.load(Ordering::SeqCst) > 0 {
+    /// Queues every task of a freshly submitted job once, round-robin over
+    /// the workers from a rotating origin so small jobs spread over the
+    /// whole pool.  Each run queue takes its share under one lock, and
+    /// sleepers are woken once every share is in place.
+    fn seed(&self, job: &Arc<JobState>) {
+        let nodes = job.tasks.len();
+        let queues = self.queues.len();
+        let base = self.next_seed.fetch_add(1, Ordering::Relaxed);
+        // Raised before the pushes so it only ever over-estimates; parking
+        // decisions must never see it low.
+        self.queued.fetch_add(nodes, Ordering::SeqCst);
+        for first in 0..queues.min(nodes) {
+            let share = (first..nodes).step_by(queues).map(|node| TaskRef {
+                job: Arc::clone(job),
+                node: node as u32,
+            });
+            lock(&self.queues[(base + first) % queues]).extend(share);
+        }
+        self.unpark(nodes);
+    }
+
+    /// Appends `count` entries to `worker`'s run queue (`fill` pushes them,
+    /// under one lock) and wakes up to as many sleepers.
+    fn push(&self, worker: usize, count: usize, fill: impl FnOnce(&mut VecDeque<TaskRef>)) {
+        // Raised before the push so it only ever over-estimates.
+        self.queued.fetch_add(count, Ordering::SeqCst);
+        fill(&mut lock(&self.queues[worker]));
+        self.unpark(count);
+    }
+
+    /// Wakes up to `count` parked workers for that many new queue entries.
+    fn unpark(&self, count: usize) {
+        let parked = self.parked.load(Ordering::SeqCst);
+        if parked > 0 {
             let _guard = self.lock_coordinator();
-            self.cv.notify_one();
+            for _ in 0..parked.min(count) {
+                self.cv.notify_one();
+            }
         }
     }
 
@@ -1197,19 +1214,29 @@ impl PoolCore {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Parks until new work or shutdown; returns false on shutdown.  Same
-    /// Dekker re-check against concurrent `push` as the single-run pool —
-    /// but no verdict logic: verdicts are per-job, decided by active
-    /// counts, never by pool idleness.
+    /// Parks until new work or shutdown; returns false on shutdown.  No
+    /// verdict logic: verdicts are per-job, decided by active counts, never
+    /// by pool idleness.
     fn park(&self) -> bool {
         let mut guard = self.lock_coordinator();
         if self.queued.load(Ordering::SeqCst) > 0 {
+            // `queued` over-estimates while a pusher sits between raising it
+            // and pushing: the caller found nothing to pop.  Yield before
+            // retrying, or a descheduled pusher leaves this worker spinning
+            // (thousands of laps, each a `Park` telemetry span).
+            drop(guard);
+            std::thread::yield_now();
             return true;
         }
         if self.shutdown.load(Ordering::SeqCst) {
             return false;
         }
         self.parked.fetch_add(1, Ordering::SeqCst);
+        // Dekker re-check against a concurrent `push`: the pusher increments
+        // `queued` *before* reading `parked` (both SeqCst), so either it sees
+        // this worker as parked and notifies under the lock, or the re-read
+        // here sees its task — a notify can never fall between the entry
+        // check and the first wait.
         if self.queued.load(Ordering::SeqCst) > 0 {
             self.parked.fetch_sub(1, Ordering::SeqCst);
             return true;
@@ -1229,44 +1256,67 @@ impl PoolCore {
         !self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The channel-event wakeup for `job`'s node: identical CAS protocol to
-    /// the single-run pool, except that an `IDLE → QUEUED` transition also
-    /// raises the job's active count (the wake always happens *before* the
-    /// waking task itself deactivates, so a job's active count can never
-    /// touch zero while a wakeup is still in flight).
-    fn wake(&self, worker: usize, job: &Arc<JobState>, node: u32) {
+    /// The channel-event wakeup for `job`'s node, issued by a running task
+    /// of the same job: an idle task becomes queued and `true` tells the
+    /// caller to push it once its own run ends (see [`PoolCore::finish`]); a
+    /// running task is flagged for re-queueing.
+    fn claim(job: &JobState, node: u32) -> bool {
         let state = &job.states[node as usize];
         let mut current = state.load(Ordering::Acquire);
         loop {
-            let (target, enqueue) = match current {
-                IDLE => (QUEUED, true),
-                RUNNING => (NOTIFIED, false),
-                _ => return,
+            let target = match current {
+                IDLE => QUEUED,
+                RUNNING => NOTIFIED,
+                _ => return false,
             };
             match state.compare_exchange(current, target, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    if enqueue {
-                        if let Some(arm) = &job.fault {
-                            // Chaos: a bounded budget of delayed wakeups.
-                            arm.delay_wake();
-                        }
-                        job.active.fetch_add(1, Ordering::SeqCst);
-                        self.push(
-                            worker,
-                            TaskRef {
-                                job: Arc::clone(job),
-                                node,
-                            },
-                        );
+                Ok(_) if target == QUEUED => {
+                    if let Some(arm) = &job.fault {
+                        // Chaos: a bounded budget of delayed wakeups.
+                        arm.delay_wake();
                     }
-                    return;
+                    return true;
                 }
+                Ok(_) => return false,
                 Err(observed) => current = observed,
             }
         }
     }
 
-    fn execute(&self, worker: usize, tref: TaskRef) {
+    /// Ends a task run: pushes the tasks the run woke (`woken`), re-queues
+    /// the run's own task when `requeue`, and retires the run's unit of job
+    /// activity otherwise — with at most one update of the job's active
+    /// count for all of it.
+    ///
+    /// The run's own unit is still held while the woken tasks' units are
+    /// added, and they are added before any of them is pushed (and can
+    /// deactivate), so the count never touches zero while a wakeup is in
+    /// flight: a zero is exact quiescence.
+    fn finish(&self, worker: usize, tref: TaskRef, requeue: bool, woken: &mut Vec<u32>) {
+        let TaskRef { job, node } = tref;
+        if requeue {
+            woken.push(node);
+        }
+        let Some(last) = woken.pop() else {
+            self.deactivate(&job);
+            return;
+        };
+        // The run's own unit passes to one of the `count` queued tasks.
+        let count = woken.len() + 1;
+        if count > 1 {
+            job.active.fetch_add(count - 1, Ordering::SeqCst);
+        }
+        self.push(worker, count, |queue| {
+            queue.extend(woken.drain(..).map(|node| TaskRef {
+                job: Arc::clone(&job),
+                node,
+            }));
+            // The run's own job reference moves into the last entry.
+            queue.push_back(TaskRef { job, node: last });
+        });
+    }
+
+    fn execute(&self, worker: usize, tref: TaskRef, woken: &mut Vec<u32>) {
         let job = &tref.job;
         let node = tref.node as usize;
         if job.verdict.load(Ordering::SeqCst) != JOB_RUNNING {
@@ -1309,8 +1359,12 @@ impl PoolCore {
                     &mut task,
                     job.inputs,
                     self.batch,
-                    &mut |n| self.wake(worker, job, n),
-                    Some(&sink),
+                    &mut |n| {
+                        if Self::claim(job, n) {
+                            woken.push(n);
+                        }
+                    },
+                    &sink,
                 )
             }));
             match result {
@@ -1358,7 +1412,7 @@ impl PoolCore {
                 }
             }
         };
-        match exec {
+        let requeue = match exec {
             Exec::Panicked => {
                 // Record which node blew up (first panic wins) — the
                 // provenance a partial restart re-runs downstream of.
@@ -1379,7 +1433,7 @@ impl PoolCore {
                     Ordering::SeqCst,
                 );
                 job.states[node].store(IDLE, Ordering::Release);
-                self.deactivate(job);
+                false
             }
             Exec::Normal(outcome, newly_done) => {
                 if newly_done {
@@ -1390,33 +1444,27 @@ impl PoolCore {
                         // Stale flag wakeups may still re-queue this task;
                         // it will no-op.
                         job.states[node].store(IDLE, Ordering::Release);
-                        self.deactivate(job);
+                        false
                     }
                     Outcome::Yielded => {
                         job.states[node].store(QUEUED, Ordering::Release);
-                        self.push(worker, tref);
+                        true
                     }
                     Outcome::Blocked => {
-                        if job.states[node]
-                            .compare_exchange(
-                                RUNNING,
-                                IDLE,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                        {
+                        let woken_meanwhile = job.states[node]
+                            .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
+                            .is_err();
+                        if woken_meanwhile {
                             // A wake arrived while we ran: re-queue (the
                             // task stays active).
                             job.states[node].store(QUEUED, Ordering::Release);
-                            self.push(worker, tref);
-                        } else {
-                            self.deactivate(job);
                         }
+                        woken_meanwhile
                     }
                 }
             }
-        }
+        };
+        self.finish(worker, tref, requeue, woken);
     }
 
     /// Retires one unit of job activity; the task that drops the count to
@@ -1541,7 +1589,7 @@ mod tests {
 
     #[test]
     fn concurrent_jobs_complete_independently() {
-        let pool = SharedPool::with_config(2, 16);
+        let pool = SharedPool::with_telemetry(2, 16, None, false);
         let g1 = pipeline(8);
         let g2 = pipeline(3);
         let t1 = crate::Topology::from_graph(&g1);
@@ -1646,7 +1694,7 @@ mod tests {
 
     #[test]
     fn many_small_jobs_share_one_pool() {
-        let pool = SharedPool::with_config(4, 8);
+        let pool = SharedPool::with_telemetry(4, 8, None, false);
         let graphs: Vec<Graph> = (2..34).map(pipeline).collect();
         let topos: Vec<crate::Topology> = graphs.iter().map(crate::Topology::from_graph).collect();
         let handles: Vec<JobHandle> = topos
@@ -1726,7 +1774,7 @@ mod tests {
             })
         });
         let handle = {
-            let pool = SharedPool::with_config(1, 1);
+            let pool = SharedPool::with_telemetry(1, 1, None, false);
             let h = pool.submit(&topo, 10_000);
             // `pool` dropped here: shutdown, join, cancel.
             h

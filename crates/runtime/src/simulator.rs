@@ -24,8 +24,9 @@
 //! prevent — and the report records which node is blocked on which channel.
 //!
 //! Determinism makes the simulator the reference engine for the tests and
-//! benchmarks; the multi-threaded engine ([`crate::ThreadedExecutor`])
-//! exercises the same wrapper logic under real concurrency.
+//! benchmarks; the pooled engine ([`crate::PooledExecutor`],
+//! [`crate::SharedPool`]) exercises the same wrapper logic under real
+//! concurrency.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -74,7 +75,7 @@ impl<'t> Simulator<'t> {
             trigger: PropagationTrigger::default(),
             scheduler: Scheduler::default(),
             max_steps: u64::MAX,
-            batching: Batching::Scalar,
+            batching: Batching::Messages(1),
         }
     }
 
@@ -122,10 +123,10 @@ impl<'t> Simulator<'t> {
     /// [`Batching::Unbounded`] the worklist scheduler drains up to that many
     /// consecutive steps from a popped node before moving on, consuming
     /// message runs in place of single messages.  The default is
-    /// [`Batching::Scalar`] — the simulator is the reference engine the
-    /// batched pools are pinned against, and by the model's confluence every
-    /// mode yields identical verdicts and counts (see
-    /// `tests/engine_equivalence.rs`).
+    /// [`Batching::Messages`]`(1)`, one step per pop — the simulator is the
+    /// reference engine the batched pool is pinned against, and by the
+    /// model's confluence every mode yields identical verdicts and counts
+    /// (see `tests/engine_equivalence.rs`).
     pub fn batching(mut self, batching: Batching) -> Self {
         self.batching = batching;
         self

@@ -1,50 +1,38 @@
-//! The per-node task core shared by the pooled execution engines.
+//! The per-node task core of the pooled execution engine.
 //!
 //! A [`Task`] is everything one compute node needs to run cooperatively on a
 //! worker pool: its behaviour, its dummy wrapper, the owned endpoints of its
 //! input and output rings, the two-slot output staging queues, and the
 //! per-node progress counters.  The stepping functions in this module mirror
 //! [`crate::Simulator`]'s per-node semantics exactly (same acceptance rule,
-//! same per-channel independent delivery), so every engine built on them is
-//! confluent to the same terminal state as the simulator.
+//! same per-channel independent delivery), so the pool is confluent to the
+//! same terminal state as the simulator.
 //!
-//! Two engines share this core:
+//! [`crate::SharedPool`] schedules these tasks (how they are queued, woken
+//! and how verdicts are detected); everything a task does while it holds a
+//! worker lives here.
 //!
-//! * [`crate::PooledExecutor`] — one run, one topology, a scoped worker pool
-//!   that exits when the run reaches a verdict;
-//! * [`crate::SharedPool`] — a long-lived pool executing the tasks of many
-//!   independent jobs side by side in the same run queues.
+//! ## Run loop
 //!
-//! The engines differ only in *scheduling policy* (how tasks are queued,
-//! woken and how verdicts are detected); everything a task does while it
-//! holds a worker lives here.
-//!
-//! ## Containers and the two step policies
-//!
-//! Since the [`crate::container`] refactor a task is generic over the
-//! [`Container`] its rings carry, and the run loop is chosen by
-//! [`StepPolicy`]:
-//!
-//! * [`Single`] steps **one message at a time** — the scalar path, operation
-//!   for operation the engine as it existed before containers;
-//! * [`Batch`] drains **whole runs** between scheduler interactions: one
-//!   acceptance scan per run, bulk consumption of RLE dummy runs with the
-//!   wrapper's run arithmetic, one producer-wake check per input per run,
-//!   and one ring push per staged container.
+//! Rings carry [`Batch`] containers, and [`run_task`] drains **whole runs**
+//! between scheduler interactions: one acceptance scan per run, bulk
+//! consumption of RLE dummy runs with the wrapper's run arithmetic, one
+//! producer-wake check per input per run, and one ring push per staged
+//! container.
 //!
 //! Batching never changes semantics: capacity is accounted in *messages*
 //! (see [`crate::spsc::MsgCap`]), staging is allowed only while everything
-//! already staged is deliverable — preserving the scalar engine's exactly
-//! one-firing overshoot on a full channel — and the Kahn-network confluence
-//! of the model does the rest: verdicts, per-edge counts and checkpoint
-//! barriers are identical across policies.
+//! already staged is deliverable — preserving a one-message-per-firing
+//! engine's exactly one-firing overshoot on a full channel — and the
+//! Kahn-network confluence of the model does the rest: verdicts, per-edge
+//! counts and checkpoint barriers are identical across batching limits.
 
 use std::sync::Mutex;
 
 use fila_graph::NodeId;
 
 use crate::checkpoint::NodeSnapshot;
-use crate::container::{Batch, Batching, Container, ConsumeMsgs, DeliverMsgs, Run, Single};
+use crate::container::{Batch, Batching, Run};
 use crate::message::{Message, Payload};
 use crate::node::{FireInput, NodeBehavior};
 use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
@@ -52,31 +40,21 @@ use crate::spsc::{self, MsgCap};
 use crate::topology::Topology;
 use crate::wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};
 
-/// The two-slot output staging area of one port, generalised to containers.
+/// The two-slot output staging area of one port.
 ///
 /// `first` is the older container; `second` exists only when a message could
-/// not extend `first` (container at its limit, or — for [`Single`], which
-/// never extends — the dummy accompanying a data message of the same
-/// firing).  For `Single` this is exactly the historical data-then-dummy
-/// staging pair.
-pub(crate) struct Stage<C> {
-    pub(crate) first: Option<C>,
-    pub(crate) second: Option<C>,
+/// not extend `first` (container at its limit, or a message out of order
+/// for it).
+#[derive(Default)]
+pub(crate) struct Stage {
+    pub(crate) first: Option<Batch>,
+    pub(crate) second: Option<Batch>,
 }
 
-impl<C> Default for Stage<C> {
-    fn default() -> Self {
-        Stage {
-            first: None,
-            second: None,
-        }
-    }
-}
-
-impl<C: Container> Stage<C> {
+impl Stage {
     /// Staged messages (not containers).
     pub(crate) fn len(&self) -> usize {
-        self.first.as_ref().map_or(0, C::len) + self.second.as_ref().map_or(0, C::len)
+        self.first.as_ref().map_or(0, Batch::len) + self.second.as_ref().map_or(0, Batch::len)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -99,10 +77,10 @@ impl<C: Container> Stage<C> {
                 Err(m) => m,
             }
         } else {
-            self.first = Some(C::from_message(m));
+            self.first = Some(Batch::from_message(m));
             return;
         };
-        self.second = Some(C::from_message(m));
+        self.second = Some(Batch::from_message(m));
     }
 
     /// Visits every staged message front to back (checkpoint flattening).
@@ -117,8 +95,8 @@ impl<C: Container> Stage<C> {
 }
 
 /// One input channel of a task.
-pub(crate) struct InPort<C: Container> {
-    pub(crate) rx: spsc::Consumer<C>,
+pub(crate) struct InPort {
+    pub(crate) rx: spsc::Consumer<Batch>,
     pub(crate) edge: u32,
     /// Node index of the channel's producer (the task to wake when a pop
     /// makes the channel non-full).
@@ -132,13 +110,13 @@ pub(crate) struct InPort<C: Container> {
 /// One output channel of a task, with its staging queue and the
 /// producer-side delivery counters (each edge has exactly one producer, so
 /// the counters need no atomics).
-pub(crate) struct OutPort<C: Container> {
-    pub(crate) tx: spsc::Producer<C>,
+pub(crate) struct OutPort {
+    pub(crate) tx: spsc::Producer<Batch>,
     pub(crate) edge: u32,
     /// Node index of the channel's consumer (the task to wake when a push
     /// makes the channel non-empty).
     pub(crate) consumer: u32,
-    pub(crate) queue: Stage<C>,
+    pub(crate) queue: Stage,
     /// Messages a staged container may hold: the batching limit clamped to
     /// the edge capacity, so a full container always fits its ring.
     pub(crate) limit: usize,
@@ -148,7 +126,7 @@ pub(crate) struct OutPort<C: Container> {
 
 /// The per-node task state: everything [`crate::Simulator`] keeps per node,
 /// plus the owned channel endpoints.
-pub(crate) struct Task<C: Container> {
+pub(crate) struct Task {
     pub(crate) is_source: bool,
     pub(crate) done: bool,
     pub(crate) eos_queued: bool,
@@ -157,8 +135,8 @@ pub(crate) struct Task<C: Container> {
     pub(crate) staged: usize,
     pub(crate) behavior: Box<dyn NodeBehavior>,
     pub(crate) wrapper: DummyWrapper,
-    pub(crate) ins: Vec<InPort<C>>,
-    pub(crate) outs: Vec<OutPort<C>>,
+    pub(crate) ins: Vec<InPort>,
+    pub(crate) outs: Vec<OutPort>,
     /// Reusable per-firing scratch, aligned with `ins`.
     pub(crate) data_in: Vec<Option<Payload>>,
     /// Reusable per-firing decision scratch, aligned with `outs` (filled by
@@ -171,7 +149,7 @@ pub(crate) struct Task<C: Container> {
     pub(crate) snap_epoch: u64,
 }
 
-impl<C: Container> Task<C> {
+impl Task {
     /// Diagnoses what this (blocked, not-done) task is waiting on: a full
     /// output channel wins over an empty input (undelivered staged messages
     /// block everything else), mirroring the deadlock report's per-node
@@ -201,10 +179,10 @@ impl<C: Container> Task<C> {
 /// load per firing), `barrier()` the barrier sequence number `k`, and
 /// `contribute` captures the task's state into the collection buffer.  The
 /// caller always holds the task mutex when invoking `contribute`.
-pub(crate) trait SnapSink<C: Container> {
+pub(crate) trait SnapSink {
     fn pending(&self) -> u64;
     fn barrier(&self) -> u64;
-    fn contribute(&self, task: &mut Task<C>);
+    fn contribute(&self, task: &mut Task);
 }
 
 /// Contributes `task` to a pending snapshot if it is *already aligned*
@@ -216,7 +194,7 @@ pub(crate) trait SnapSink<C: Container> {
 /// source's counters are frozen, or the restore would re-deliver them to a
 /// consumer that already processed them.  Tasks aligned mid-stream are
 /// caught by the acceptance-time check in [`step`] instead.
-fn contribute_if_aligned<C: Container>(task: &mut Task<C>, snap: &dyn SnapSink<C>) {
+fn contribute_if_aligned(task: &mut Task, snap: &dyn SnapSink) {
     let epoch = snap.pending();
     if epoch == 0 || task.snap_epoch == epoch {
         return;
@@ -243,8 +221,8 @@ fn contribute_if_aligned<C: Container>(task: &mut Task<C>, snap: &dyn SnapSink<C
 /// tasks at unrelated sequence numbers.  It is exactly the raw material a
 /// partial restart splices against a consistent base snapshot
 /// ([`crate::checkpoint::JobSnapshot::splice_downstream`]).
-pub(crate) fn capture_wreck<C: Container>(
-    task: &mut Task<C>,
+pub(crate) fn capture_wreck(
+    task: &mut Task,
     per_edge_data: &mut [u64],
     per_edge_dummies: &mut [u64],
     channels: &mut [Vec<Message>],
@@ -290,17 +268,17 @@ pub(crate) enum Outcome {
 /// behaviour instance per node, and the per-node dummy-wrapper state for
 /// `mode`/`trigger`.  `batching` sets the per-container message limit
 /// (clamped per edge to the channel capacity).
-pub(crate) fn build_tasks<C: Container>(
+pub(crate) fn build_tasks(
     topology: &Topology,
     mode: &AvoidanceMode,
     trigger: PropagationTrigger,
     batching: Batching,
-) -> Vec<Task<C>> {
+) -> Vec<Task> {
     let g = topology.graph();
     let edge_count = g.edge_count();
     let limit = batching.limit();
-    let mut producers: Vec<Option<spsc::Producer<C>>> = Vec::with_capacity(edge_count);
-    let mut consumers: Vec<Option<spsc::Consumer<C>>> = Vec::with_capacity(edge_count);
+    let mut producers: Vec<Option<spsc::Producer<Batch>>> = Vec::with_capacity(edge_count);
+    let mut consumers: Vec<Option<spsc::Consumer<Batch>>> = Vec::with_capacity(edge_count);
     for e in g.edge_ids() {
         // Channel capacity is modelled in messages; `MsgCap` keeps the unit
         // explicit at every ring construction site.
@@ -356,106 +334,23 @@ pub(crate) fn build_tasks<C: Container>(
         .collect()
 }
 
-/// How a task's run loop consumes its containers.
-///
-/// The scalar policy ([`Single`]) performs one message per iteration —
-/// operation for operation the engine as it existed before containers; the
-/// batched policy ([`Batch`]) drains whole runs between scheduler
-/// interactions.  Confluence of the model makes the two produce identical
-/// verdicts and per-edge counts.
-pub(crate) trait StepPolicy: Container {
-    fn run_slice(
-        task: &mut Task<Self>,
-        inputs: u64,
-        batch: u32,
-        wake: &mut dyn FnMut(u32),
-        snap: Option<&dyn SnapSink<Self>>,
-    ) -> Outcome
-    where
-        Self: Sized;
-}
-
-impl StepPolicy for Single {
-    fn run_slice(
-        task: &mut Task<Self>,
-        inputs: u64,
-        batch: u32,
-        wake: &mut dyn FnMut(u32),
-        snap: Option<&dyn SnapSink<Self>>,
-    ) -> Outcome {
-        run_scalar(task, inputs, batch, wake, snap)
-    }
-}
-
-impl StepPolicy for Batch {
-    fn run_slice(
-        task: &mut Task<Self>,
-        inputs: u64,
-        batch: u32,
-        wake: &mut dyn FnMut(u32),
-        snap: Option<&dyn SnapSink<Self>>,
-    ) -> Outcome {
-        run_batched(task, inputs, batch, wake, snap)
-    }
-}
-
 /// Runs one task for up to `batch` accepted sequence numbers.  `wake`
 /// receives the node index of every peer task a channel event of this run
-/// made runnable.  `snap`, when present, is checked before every firing
-/// (and at acceptance time inside [`step`]) so a task never crosses a
-/// pending snapshot barrier without contributing its aligned state first.
-pub(crate) fn run_task<C: StepPolicy>(
-    task: &mut Task<C>,
+/// made runnable.  `snap` is checked before every run (and at acceptance
+/// time inside the run loops) so a task never crosses a pending snapshot
+/// barrier without contributing its aligned state first.
+///
+/// The loop flushes, then drains runs while staging stays within both the
+/// container limit and the deliverable space of every output (plus one
+/// overshooting acceptance, the shape of a blocking send), so blocking
+/// behaviour — and with it every deadlock verdict — matches the
+/// simulator's.
+pub(crate) fn run_task(
+    task: &mut Task,
     inputs: u64,
     batch: u32,
     wake: &mut dyn FnMut(u32),
-    snap: Option<&dyn SnapSink<C>>,
-) -> Outcome {
-    C::run_slice(task, inputs, batch, wake, snap)
-}
-
-/// The scalar run loop: one [`step`] per iteration, exactly the historical
-/// engine.
-fn run_scalar<C: Container>(
-    task: &mut Task<C>,
-    inputs: u64,
-    batch: u32,
-    wake: &mut dyn FnMut(u32),
-    snap: Option<&dyn SnapSink<C>>,
-) -> Outcome {
-    let mut fired = 0;
-    while fired < batch {
-        if let Some(snap) = snap {
-            contribute_if_aligned(task, snap);
-        }
-        if task.done {
-            return Outcome::Done;
-        }
-        if !step(task, inputs, wake, snap) {
-            return Outcome::Blocked;
-        }
-        fired += 1;
-    }
-    if let Some(snap) = snap {
-        contribute_if_aligned(task, snap);
-    }
-    if task.done {
-        Outcome::Done
-    } else {
-        Outcome::Yielded
-    }
-}
-
-/// The batched run loop: flush, then drain runs while staging stays within
-/// both the container limit and the deliverable space of every output (plus
-/// the scalar engine's one-acceptance overshoot), so blocking behaviour —
-/// and with it every deadlock verdict — matches the scalar policy exactly.
-fn run_batched(
-    task: &mut Task<Batch>,
-    inputs: u64,
-    batch: u32,
-    wake: &mut dyn FnMut(u32),
-    snap: Option<&dyn SnapSink<Batch>>,
+    snap: &dyn SnapSink,
 ) -> Outcome {
     let mut accepted: u32 = 0;
     loop {
@@ -463,15 +358,10 @@ fn run_batched(
         // source only contributes with empty staging queues, and checking
         // first would let the per-message fallback below fire it past the
         // barrier right after this flush drained them — freezing its
-        // counters at a cursor the restore never re-plays.  (The scalar
-        // loop is safe by construction: `step` returns directly after a
-        // delivering flush, so its loop-top check always runs between the
-        // drain and the next firing.)
+        // counters at a cursor the restore never re-plays.
         flush(task, wake);
         mark_done_if_drained(task);
-        if let Some(snap) = snap {
-            contribute_if_aligned(task, snap);
-        }
+        contribute_if_aligned(task, snap);
         if task.done {
             return Outcome::Done;
         }
@@ -482,17 +372,15 @@ fn run_batched(
         if accepted >= batch {
             return Outcome::Yielded;
         }
-        if let Some(snap) = snap {
-            let epoch = snap.pending();
-            if epoch != 0 && task.snap_epoch != epoch {
-                // A snapshot is being collected: drop to the per-message
-                // step for its exact acceptance-time barrier alignment.
-                if !step(task, inputs, wake, Some(snap)) {
-                    return Outcome::Blocked;
-                }
-                accepted += 1;
-                continue;
+        let epoch = snap.pending();
+        if epoch != 0 && task.snap_epoch != epoch {
+            // A snapshot is being collected: drop to the per-message step
+            // for its exact acceptance-time barrier alignment.
+            if !step(task, inputs, wake, snap) {
+                return Outcome::Blocked;
             }
+            accepted += 1;
+            continue;
         }
         let progressed = if task.is_source {
             source_run(task, inputs, &mut accepted, batch)
@@ -523,8 +411,8 @@ fn run_batched(
 /// queue is under the container limit and everything already staged is
 /// deliverable right now.  The *first* acceptance after a flush always
 /// passes (the queue is empty), so a full channel still receives exactly
-/// one overshooting acceptance — the scalar engine's blocking shape.
-fn outputs_have_room(task: &Task<Batch>) -> bool {
+/// one overshooting acceptance — the blocking shape of a one-message send.
+fn outputs_have_room(task: &Task) -> bool {
     task.outs.iter().all(|port| {
         let len = port.queue.len();
         len < port.limit && len <= port.tx.space_msgs()
@@ -534,12 +422,7 @@ fn outputs_have_room(task: &Task<Batch>) -> bool {
 /// Drains acceptances for a non-source task until the budget, the staging
 /// room or an input runs out.  Returns false (with a waiting flag
 /// registered) only when no acceptance happened at all.
-fn interior_run(
-    task: &mut Task<Batch>,
-    accepted: &mut u32,
-    batch: u32,
-    snap: Option<&dyn SnapSink<Batch>>,
-) -> bool {
+fn interior_run(task: &mut Task, accepted: &mut u32, batch: u32, snap: &dyn SnapSink) -> bool {
     let mut progressed = false;
     'run: while *accepted < batch && outputs_have_room(task) {
         // Acceptance scan: one pass over the input heads.
@@ -557,19 +440,17 @@ fn interior_run(
         }
         // Acceptance-time barrier alignment, exactly like [`step`]'s: a
         // snapshot epoch can be published *mid-run* (the slice-top check in
-        // `run_batched` precedes it), and a head with seq ≥ barrier proves
+        // `run_task` precedes it), and a head with seq ≥ barrier proves
         // the publication happened-before its arrival — so it must not be
         // consumed until this task's pre-barrier state is contributed.
         let mut barrier = u64::MAX;
-        if let Some(snap) = snap {
-            let epoch = snap.pending();
-            if epoch != 0 && task.snap_epoch != epoch {
-                barrier = snap.barrier();
-                if accept_seq >= barrier {
-                    task.snap_epoch = epoch;
-                    snap.contribute(task);
-                    barrier = u64::MAX;
-                }
+        let epoch = snap.pending();
+        if epoch != 0 && task.snap_epoch != epoch {
+            barrier = snap.barrier();
+            if accept_seq >= barrier {
+                task.snap_epoch = epoch;
+                snap.contribute(task);
+                barrier = u64::MAX;
             }
         }
         if accept_seq == u64::MAX {
@@ -715,7 +596,7 @@ fn interior_run(
 /// conservative — the burst just ends early and the outer loop re-checks),
 /// the barrier against each message's own sequence number.
 fn data_burst(
-    task: &mut Task<Batch>,
+    task: &mut Task,
     accepted: &mut u32,
     batch: u32,
     barrier: u64,
@@ -777,7 +658,7 @@ fn data_burst(
 
 /// Stages a run of `n` forwarded dummies at `first..first + n` on one port
 /// as a single RLE segment (the caller bounded `n` by the queue room).
-fn stage_dummy_run(out: &mut OutPort<Batch>, first: u64, n: u64) {
+fn stage_dummy_run(out: &mut OutPort, first: u64, n: u64) {
     let slot = if out.queue.second.is_some() {
         &mut out.queue.second
     } else {
@@ -789,9 +670,9 @@ fn stage_dummy_run(out: &mut OutPort<Batch>, first: u64, n: u64) {
 }
 
 /// Drains source firings until the budget or the staging room runs out;
-/// stages the EOS markers (once, with empty staging queues, like the scalar
-/// engine) when the input supply is exhausted.
-fn source_run(task: &mut Task<Batch>, inputs: u64, accepted: &mut u32, batch: u32) -> bool {
+/// stages the EOS markers (once, with empty staging queues, like the
+/// simulator) when the input supply is exhausted.
+fn source_run(task: &mut Task, inputs: u64, accepted: &mut u32, batch: u32) -> bool {
     let mut progressed = false;
     while *accepted < batch && task.next_source_seq < inputs && outputs_have_room(task) {
         let seq = task.next_source_seq;
@@ -817,13 +698,9 @@ fn source_run(task: &mut Task<Batch>, inputs: u64, accepted: &mut u32, batch: u3
 
 /// Attempts one unit of progress on a task; mirrors `Simulator`'s per-node
 /// step exactly (same acceptance rule, same per-channel independent
-/// delivery), so all engines are confluent to the same terminal state.
-fn step<C: Container>(
-    task: &mut Task<C>,
-    inputs: u64,
-    wake: &mut dyn FnMut(u32),
-    snap: Option<&dyn SnapSink<C>>,
-) -> bool {
+/// delivery).  [`run_task`] drops to it while a snapshot is being
+/// collected, for its exact acceptance-time barrier alignment.
+fn step(task: &mut Task, inputs: u64, wake: &mut dyn FnMut(u32), snap: &dyn SnapSink) -> bool {
     // Phase 1: flush staged outputs; a node with undelivered messages does
     // nothing else (mirrors a blocking send).
     if flush(task, wake) {
@@ -855,19 +732,14 @@ fn step<C: Container>(
     // the snapshot barrier (EOS included — its sequence number is maximal),
     // so this task's state — having consumed exactly the pre-barrier prefix
     // of every input — belongs to the snapshot *now*, before consuming.
-    if let Some(snap) = snap {
-        let epoch = snap.pending();
-        if epoch != 0 && task.snap_epoch != epoch && accept_seq >= snap.barrier() {
-            task.snap_epoch = epoch;
-            snap.contribute(task);
-        }
+    let epoch = snap.pending();
+    if epoch != 0 && task.snap_epoch != epoch && accept_seq >= snap.barrier() {
+        task.snap_epoch = epoch;
+        snap.contribute(task);
     }
     if accept_seq == u64::MAX {
         // End of stream on every input.
         for port in &mut task.outs {
-            if C::UNIT {
-                debug_assert!(port.queue.is_empty());
-            }
             port.queue.stage(port.limit, Message::Eos);
             task.staged += 1;
         }
@@ -924,7 +796,7 @@ fn step<C: Container>(
     true
 }
 
-fn step_source<C: Container>(task: &mut Task<C>, inputs: u64, wake: &mut dyn FnMut(u32)) -> bool {
+fn step_source(task: &mut Task, inputs: u64, wake: &mut dyn FnMut(u32)) -> bool {
     if task.next_source_seq < inputs {
         let seq = task.next_source_seq;
         task.next_source_seq += 1;
@@ -938,9 +810,6 @@ fn step_source<C: Container>(task: &mut Task<C>, inputs: u64, wake: &mut dyn FnM
     if !task.eos_queued {
         task.eos_queued = true;
         for port in &mut task.outs {
-            if C::UNIT {
-                debug_assert!(port.queue.is_empty());
-            }
             port.queue.stage(port.limit, Message::Eos);
             task.staged += 1;
         }
@@ -958,7 +827,7 @@ fn step_source<C: Container>(task: &mut Task<C>, inputs: u64, wake: &mut dyn FnM
 /// the consumer of every channel this delivery made non-empty.  The
 /// delivery counters advance by the *messages* that shipped (a container
 /// can deliver partially, split at the remaining message capacity).
-fn flush<C: Container>(task: &mut Task<C>, wake: &mut dyn FnMut(u32)) -> bool {
+fn flush(task: &mut Task, wake: &mut dyn FnMut(u32)) -> bool {
     if task.staged == 0 {
         return false;
     }
@@ -998,7 +867,7 @@ fn flush<C: Container>(task: &mut Task<C>, wake: &mut dyn FnMut(u32)) -> bool {
     delivered
 }
 
-fn mark_done_if_drained<C: Container>(task: &mut Task<C>) {
+fn mark_done_if_drained(task: &mut Task) {
     if task.eos_queued && task.staged == 0 {
         task.done = true;
     }
@@ -1007,7 +876,7 @@ fn mark_done_if_drained<C: Container>(task: &mut Task<C>) {
 /// Stages the data and dummy messages produced for one accepted sequence
 /// number (`fired` is false when the node consumed only dummies and emits
 /// no data; when true the decision sits in the task's `emit` scratch).
-fn queue_outputs<C: Container>(task: &mut Task<C>, seq: u64, fired: bool, consumed_dummy: bool) {
+fn queue_outputs(task: &mut Task, seq: u64, fired: bool, consumed_dummy: bool) {
     let Task {
         wrapper,
         outs,
@@ -1020,9 +889,9 @@ fn queue_outputs<C: Container>(task: &mut Task<C>, seq: u64, fired: bool, consum
 
 /// [`queue_outputs`] on split borrows, for callers already holding other
 /// task fields (the batched data-burst loop).
-fn stage_decision<C: Container>(
+fn stage_decision(
     wrapper: &mut DummyWrapper,
-    outs: &mut [OutPort<C>],
+    outs: &mut [OutPort],
     staged: &mut usize,
     emit: &[Option<Payload>],
     seq: u64,
@@ -1031,9 +900,6 @@ fn stage_decision<C: Container>(
 ) {
     let dummies = wrapper.on_accept(consumed_dummy, |i| fired && emit[i].is_some());
     for (idx, port) in outs.iter_mut().enumerate() {
-        if C::UNIT {
-            debug_assert!(port.queue.is_empty());
-        }
         if fired {
             if let Some(payload) = emit[idx] {
                 port.queue.stage(port.limit, Message::Data { seq, payload });
@@ -1051,10 +917,9 @@ fn stage_decision<C: Container>(
 
 /// Assembles the [`ExecutionReport`] of a finished (or deadlocked) task set:
 /// per-edge delivery counters, firing totals and — for deadlocks — the
-/// blocked-node diagnoses, exactly as [`crate::PooledExecutor`] has always
-/// reported them.
-pub(crate) fn assemble_report<C: Container>(
-    tasks: &[Mutex<Task<C>>],
+/// blocked-node diagnoses.
+pub(crate) fn assemble_report(
+    tasks: &[Mutex<Task>],
     edge_count: usize,
     inputs: u64,
     deadlocked: bool,

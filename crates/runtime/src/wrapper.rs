@@ -49,8 +49,8 @@ use fila_graph::{Graph, NodeId};
 /// How the runtime should avoid deadlock.
 ///
 /// The plan is held behind an [`Arc`] so that every node wrapper (and every
-/// worker thread of the threaded engine) shares one copy instead of cloning
-/// the whole interval table per node per run.
+/// job on a pool) shares one copy instead of cloning the whole interval
+/// table per node per run.
 #[derive(Debug, Clone, Default)]
 pub enum AvoidanceMode {
     /// No dummy messages are ever sent; filtering applications may deadlock.

@@ -741,14 +741,11 @@ fn cmd_storm(args: &[String]) -> ExitCode {
     eprintln!(
         "storm: {jobs} jobs in {wall:.2?} — {completed} completed, {deadlocked} deadlocked, \
          {rejected_unplannable} rejected unplannable, {rejected_other} rejected other, {other} other; \
-         {} certified ({fell_back} via fallback, {} uncertified Non-Prop); \
-         cache {:.0}% hits ({} plans for {} planned jobs), cert cache {:.0}% hits",
+         {} certified ({fell_back} via fallback, {} uncertified Non-Prop); {}, {}",
         stats.certified,
         stats.uncertified_nonprop,
-        stats.cache_hit_rate() * 100.0,
-        stats.plan_cache_misses,
-        stats.plan_cache_hits + stats.plan_cache_misses,
-        stats.cert_cache_hit_rate() * 100.0,
+        cache_summary("plan cache", stats.plan_cache_hits, stats.plan_cache_misses),
+        cache_summary("cert cache", stats.cert_cache_hits, stats.cert_cache_misses),
     );
     if kill_rate > 0.0 {
         eprintln!(
@@ -780,6 +777,18 @@ fn cmd_storm(args: &[String]) -> ExitCode {
         ExitCode::FAILURE
     }
     })
+}
+
+/// One cache's hits out of its own lookups, for the human storm summary; a
+/// cache the run never consulted gets no hit rate.
+fn cache_summary(name: &str, hits: u64, misses: u64) -> String {
+    match hits + misses {
+        0 => format!("{name} not consulted"),
+        lookups => format!(
+            "{name} {hits}/{lookups} lookups hit ({:.0}%)",
+            100.0 * hits as f64 / lookups as f64
+        ),
+    }
 }
 
 /// Flight-recorder export shared by the storm modes: write the Chrome

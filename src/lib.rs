@@ -48,8 +48,7 @@ pub mod prelude {
     pub use fila_graph::{EdgeId, Fingerprint, Graph, GraphBuilder, NodeId};
     pub use fila_runtime::{
         Batching, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict, PooledExecutor,
-        RestoreError, Scheduler, SharedPool, Simulator, SnapshotError, SwapToken,
-        ThreadedExecutor, Topology,
+        RestoreError, Scheduler, SharedPool, Simulator, SnapshotError, SwapToken, Topology,
     };
     pub use fila_service::{
         AdaptiveOutcome, AvoidanceChoice, DriftPolicy, FilterSpec, JobService, JobSpec,

@@ -164,9 +164,9 @@ fn panic_after_checkpoint_recovers_from_last_snapshot() {
 fn snapshots_cross_container_batching_modes() {
     // Container batching is invisible on the snapshot wire: a barrier cut
     // taken on a run-batched pool flattens its containers to the exact
-    // `FILASNAP` per-message state, restores into a scalar-container pool,
-    // and vice versa — cumulative counts land on the uninterrupted totals
-    // either way.
+    // `FILASNAP` per-message state, restores into a pool of one-message
+    // containers, and vice versa — cumulative counts land on the
+    // uninterrupted totals either way.
     let inputs = 300;
     let g = fig2_triangle(4);
     let plan = Arc::new(
@@ -182,8 +182,8 @@ fn snapshots_cross_container_batching_modes() {
     assert!(reference.completed);
 
     for (capture_mode, restore_mode) in [
-        (Batching::Unbounded, Batching::Scalar),
-        (Batching::Scalar, Batching::Unbounded),
+        (Batching::Unbounded, Batching::Messages(1)),
+        (Batching::Messages(1), Batching::Unbounded),
     ] {
         let capture_pool = SharedPool::with_options(2, 64, None, false, capture_mode);
         let handle =
