@@ -2,10 +2,11 @@
 //! rates — the scaling benchmark behind the worklist-scheduler and
 //! pooled-engine optimisations.
 //!
-//! Every simulator workload is measured under both schedulers so the
-//! speedup of the event-driven worklist over the `O(V)`-per-step reference
-//! scan is read directly off one run.  The pooled work-stealing engine is
-//! swept over worker counts × node counts × filter rates (E15).
+//! Simulator workloads run on its event-driven worklist scheduler (the
+//! `O(V)`-per-step `Scheduler::Scan` is a test oracle, pinned by
+//! `tests/scheduler_equivalence.rs`, and is not timed).  The pooled
+//! work-stealing engine is swept over worker counts × node counts × filter
+//! rates (E15).
 //!
 //! Set `FILA_BENCH_FAST=1` to run a tiny smoke configuration (used by CI to
 //! catch bench rot), and `FILA_BENCH_JSON=<path>` to emit the
@@ -15,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fila_avoidance::{Algorithm, Planner};
 use fila_graph::Graph;
 use fila_runtime::{
-    Batching, JobVerdict, PooledExecutor, Scheduler, SharedPool, Simulator, Topology,
+    Batching, JobVerdict, PooledExecutor, SharedPool, Simulator, Topology,
 };
 use fila_service::{JobService, JobSpec, ServiceConfig};
 use fila_workloads::generators::{
@@ -31,18 +32,10 @@ fn fast() -> bool {
     std::env::var_os("FILA_BENCH_FAST").is_some()
 }
 
-const SCHEDULERS: [(Scheduler, &str); 2] = [
-    (Scheduler::Worklist, "worklist"),
-    (Scheduler::Scan, "scan"),
-];
-
 /// A linear pipeline of `n` nodes (capacity 4).  `reversed` declares the
-/// nodes against the flow direction, so node ids are anti-topological: the
-/// scan scheduler then advances each message only one hop per full `O(n)`
-/// sweep (its generic behaviour on graphs whose declaration order does not
-/// happen to match the dataflow), while with forward ids a single sweep
-/// luckily rides a message all the way down.  The worklist scheduler and
-/// the concurrent engines are insensitive to declaration order.
+/// nodes against the flow direction, so node ids are anti-topological —
+/// the adversarial order for id-driven scheduling.  The worklist scheduler
+/// and the concurrent engines are insensitive to declaration order.
 fn pipeline(n: usize, reversed: bool) -> Graph {
     pipeline_graph(n, 4, reversed)
 }
@@ -71,19 +64,17 @@ fn bench_pipeline(c: &mut Criterion) {
         for (reversed, order) in [(false, "fwd"), (true, "rev")] {
             let g = pipeline(n, reversed);
             let topo = Topology::from_graph(&g);
-            for (scheduler, name) in SCHEDULERS {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{name}/{order}/nodes"), n),
-                    &n,
-                    |b, _| {
-                        b.iter(|| {
-                            let report = Simulator::new(&topo).scheduler(scheduler).run(inputs);
-                            assert!(report.completed);
-                            black_box(report.data_messages)
-                        })
-                    },
-                );
-            }
+            group.bench_with_input(
+                BenchmarkId::new(format!("worklist/{order}/nodes"), n),
+                &n,
+                |b, _| {
+                    b.iter(|| {
+                        let report = Simulator::new(&topo).run(inputs);
+                        assert!(report.completed);
+                        black_box(report.data_messages)
+                    })
+                },
+            );
         }
     }
     group.finish();
@@ -113,25 +104,19 @@ fn bench_wide_sp(c: &mut Criterion) {
         );
         for &rate in rates {
             let topo = filtered_topology(&g, rate);
-            for (scheduler, name) in SCHEDULERS {
-                group.bench_with_input(
-                    BenchmarkId::new(
-                        format!("{name}/edges{edges}"),
-                        format!("rate{rate}"),
-                    ),
-                    &rate,
-                    |b, _| {
-                        b.iter(|| {
-                            let report = Simulator::new(&topo)
-                                .with_shared_plan(Arc::clone(&plan))
-                                .scheduler(scheduler)
-                                .run(inputs);
-                            assert!(report.completed, "{report:?}");
-                            black_box(report.data_messages + report.dummy_messages)
-                        })
-                    },
-                );
-            }
+            group.bench_with_input(
+                BenchmarkId::new(format!("worklist/edges{edges}"), format!("rate{rate}")),
+                &rate,
+                |b, _| {
+                    b.iter(|| {
+                        let report = Simulator::new(&topo)
+                            .with_shared_plan(Arc::clone(&plan))
+                            .run(inputs);
+                        assert!(report.completed, "{report:?}");
+                        black_box(report.data_messages + report.dummy_messages)
+                    })
+                },
+            );
         }
     }
     group.finish();
@@ -158,25 +143,19 @@ fn bench_ladder(c: &mut Criterion) {
         );
         for &rate in rates {
             let topo = fork_filtered_topology(&g, rate);
-            for (scheduler, name) in SCHEDULERS {
-                group.bench_with_input(
-                    BenchmarkId::new(
-                        format!("{name}/rungs{rungs}"),
-                        format!("rate{rate}"),
-                    ),
-                    &rate,
-                    |b, _| {
-                        b.iter(|| {
-                            let report = Simulator::new(&topo)
-                                .with_shared_plan(Arc::clone(&plan))
-                                .scheduler(scheduler)
-                                .run(inputs);
-                            assert!(report.completed, "{report:?}");
-                            black_box(report.data_messages + report.dummy_messages)
-                        })
-                    },
-                );
-            }
+            group.bench_with_input(
+                BenchmarkId::new(format!("worklist/rungs{rungs}"), format!("rate{rate}")),
+                &rate,
+                |b, _| {
+                    b.iter(|| {
+                        let report = Simulator::new(&topo)
+                            .with_shared_plan(Arc::clone(&plan))
+                            .run(inputs);
+                        assert!(report.completed, "{report:?}");
+                        black_box(report.data_messages + report.dummy_messages)
+                    })
+                },
+            );
         }
     }
     group.finish();
@@ -376,9 +355,8 @@ fn process_cpu_ns() -> Option<u64> {
 }
 
 /// Time to *detect* a deadlock on an unprotected, heavily filtering ladder:
-/// the scan scheduler needs a full unproductive sweep over all nodes, the
-/// worklist simply runs its ready queue dry, and the pooled engine's job
-/// goes quiescent — all three verdicts are exact (no quiet-period timeout
+/// the worklist simply runs its ready queue dry, and the pooled engine's
+/// job goes quiescent — both verdicts are exact (no quiet-period timeout
 /// is involved).
 fn bench_deadlock_detection(c: &mut Criterion) {
     let mut group = c.benchmark_group("throughput_deadlock");
@@ -393,19 +371,17 @@ fn bench_deadlock_detection(c: &mut Criterion) {
             seed: 0x1ADD + rungs as u64,
         });
         let topo = filtered_topology(&g, 4);
-        for (scheduler, name) in SCHEDULERS {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{name}/rungs"), rungs),
-                &rungs,
-                |b, _| {
-                    b.iter(|| {
-                        let report = Simulator::new(&topo).scheduler(scheduler).run(inputs);
-                        assert!(report.deadlocked, "{report:?}");
-                        black_box(report.blocked.len())
-                    })
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("worklist/rungs", rungs),
+            &rungs,
+            |b, _| {
+                b.iter(|| {
+                    let report = Simulator::new(&topo).run(inputs);
+                    assert!(report.deadlocked, "{report:?}");
+                    black_box(report.blocked.len())
+                })
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new("pooled/rungs", rungs),
             &rungs,

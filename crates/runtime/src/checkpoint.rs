@@ -23,16 +23,19 @@
 //!   acceptance rule already makes sequence numbers a global logical clock.
 //!   The pool freezes the job's sources just long enough to pick a barrier
 //!   sequence number `k` (the maximum source cursor), and every task
-//!   contributes its state exactly once, at its own *alignment*: the moment
-//!   it would first consume or produce a sequence number `≥ k`.  At a
-//!   producer's alignment its delivery counters count exactly its pre-`k`
-//!   deliveries, at a consumer's alignment it has consumed exactly the
-//!   pre-`k` prefix of every input, and everything the ring still holds at
-//!   that point carries `seq ≥ k` — produced *after* the producer's aligned
-//!   state was captured, and therefore regenerated deterministically on
-//!   resume.  Channels are thus recorded empty (EOS markers aside), and the
-//!   restored wrapper gap counters continue exactly where they stopped: no
-//!   dummy interval is ever counted twice.
+//!   contributes its state exactly once, at its own *alignment*.  One rule
+//!   defines it: the next sequence number the task would consume or produce
+//!   is `≥ k`, **and** no output it accepted before `k` is still staged.
+//!   At a producer's alignment its delivery counters count exactly its
+//!   pre-`k` deliveries, at a consumer's alignment it has consumed exactly
+//!   the pre-`k` prefix of every input, and everything the ring still holds
+//!   at that point carries `seq ≥ k` — produced *after* the producer's
+//!   aligned state was captured, and therefore regenerated
+//!   deterministically on resume.  (A pre-`k` output still staged at the
+//!   contribution would be restored as staged *and* counted as consumed
+//!   downstream: delivered twice.)  Channels are thus recorded empty (EOS
+//!   markers aside), and the restored wrapper gap counters continue exactly
+//!   where they stopped: no dummy interval is ever counted twice.
 //!
 //! Snapshots serialise to a small, versioned, magic-tagged byte format
 //! ([`JobSnapshot::to_bytes`] / [`JobSnapshot::from_bytes`]; hand-rolled,

@@ -118,19 +118,13 @@ impl<'t> PooledExecutor<'t> {
     /// If a node behaviour panics, like [`crate::Simulator::run`] does.
     pub fn run(&self, inputs: u64) -> ExecutionReport {
         let started = Instant::now();
-        let node_count = self.topology.graph().node_count();
-        if node_count == 0 {
-            return ExecutionReport {
-                completed: true,
-                inputs_offered: inputs,
-                wall: started.elapsed(),
-                ..Default::default()
-            };
-        }
+        // No more workers than nodes, and one for an empty graph (whose
+        // job settles at launch).
         let workers = self
             .workers
             .map_or_else(shared_pool::available_workers, NonZeroUsize::get)
-            .clamp(1, node_count);
+            .min(self.topology.graph().node_count())
+            .max(1);
         let pool = SharedPool::with_options(workers, self.batch, None, false, self.batching);
         let job = pool.submit_full(self.topology, self.mode.clone(), self.trigger, inputs, None);
         let mut report = job.wait();
@@ -299,6 +293,10 @@ mod tests {
         let report = PooledExecutor::new(&topo).run(0);
         assert!(report.completed);
         assert_eq!(report.data_messages, 0);
+        let empty = Topology::from_graph(&Graph::new());
+        let report = PooledExecutor::new(&empty).run(7);
+        assert!(report.completed && !report.deadlocked);
+        assert_eq!(report.inputs_offered, 7);
     }
 
     #[test]

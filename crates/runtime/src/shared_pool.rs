@@ -49,9 +49,10 @@
 //! barrier sequence number `k` (the maximum source cursor), publishes it,
 //! and every task contributes its state exactly once at its own
 //! *alignment* — the point where it would next consume or produce a
-//! sequence number `≥ k` — either from inside the task-stepping loop (one
-//! atomic load per firing when no snapshot is pending) or from the
-//! checkpointer's sweep for tasks that are already done.  If the job
+//! sequence number `≥ k` with no pre-`k` output staged (`Task::aligned`) —
+//! either from inside the task run loop (one atomic load per firing when no
+//! snapshot is pending) or from the checkpointer's sweep for tasks that are
+//! already aligned.  If the job
 //! settles before the barrier completes, the checkpoint returns the
 //! verdict instead ([`crate::checkpoint::SnapshotError::Settled`]); it
 //! never hangs and never produces a torn snapshot.
@@ -73,7 +74,7 @@ use fila_graph::Graph;
 use crate::checkpoint::{
     self, JobSnapshot, NodeSnapshot, RestoreError, SnapshotError, SwapToken, SNAPSHOT_VERSION,
 };
-use crate::container::{Batch, Batching};
+use crate::container::Batching;
 use crate::faults::{FaultArm, FaultPlan};
 use crate::message::Message;
 use crate::report::{BlockedReason, ExecutionReport};
@@ -97,6 +98,17 @@ const JOB_COMPLETED: u8 = 1;
 const JOB_DEADLOCKED: u8 = 2;
 const JOB_FAILED: u8 = 3;
 const JOB_CANCELLED: u8 = 4;
+
+/// Decodes a `JobState::verdict` code; `None` while the job runs.
+fn decode_verdict(code: u8) -> Option<JobVerdict> {
+    match code {
+        JOB_COMPLETED => Some(JobVerdict::Completed),
+        JOB_DEADLOCKED => Some(JobVerdict::Deadlocked),
+        JOB_FAILED => Some(JobVerdict::Failed),
+        JOB_CANCELLED => Some(JobVerdict::Cancelled),
+        _ => None,
+    }
+}
 
 /// How a job on a [`SharedPool`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,8 +176,8 @@ struct JobState {
     /// [`FaultPlan`] — the zero-cost-when-disabled common case).
     fault: Option<Arc<FaultArm>>,
     /// The pool job serial stamped on this job's trace events
-    /// (`u64::MAX` for degenerate jobs that settle synchronously and
-    /// never draw a serial).
+    /// (`u64::MAX` for jobs with nothing to run, which settle at launch
+    /// and never draw a serial).
     serial: u64,
     /// Submission timestamp on the telemetry clock (0 when telemetry is
     /// off); start of the job's `EventKind::Job` span.
@@ -227,6 +239,32 @@ struct SnapState {
 }
 
 impl JobState {
+    /// Assembles a [`JobSnapshot`] of this job from per-node states and
+    /// per-edge tables, stamped with the job's snapshot identity.
+    fn job_snapshot(
+        &self,
+        nodes: Vec<NodeSnapshot>,
+        per_edge_data: Vec<u64>,
+        per_edge_dummies: Vec<u64>,
+        channels: Vec<Vec<Message>>,
+    ) -> JobSnapshot {
+        JobSnapshot {
+            version: SNAPSHOT_VERSION,
+            labeled_topology: self.meta.labeled_topology,
+            fingerprint: None,
+            filter_signature: None,
+            plan_digest: self.meta.plan_digest,
+            trigger: self.meta.trigger,
+            inputs: self.inputs,
+            steps: nodes.iter().map(|n| n.firings).sum(),
+            sink_firings: nodes.iter().map(|n| n.sink_firings).sum(),
+            per_edge_data,
+            per_edge_dummies,
+            channels,
+            nodes,
+        }
+    }
+
     /// Records one task's aligned state into the pending snapshot.  The
     /// caller holds the task mutex (lock order: task before snap); the
     /// final contribution assembles the [`JobSnapshot`] and wakes the
@@ -238,9 +276,9 @@ impl JobState {
         if snap.result.is_some() || snap.nodes[node].is_some() {
             return;
         }
+        let snap = &mut *snap;
+        task.record_counters(&mut snap.per_edge_data, &mut snap.per_edge_dummies);
         for port in &task.outs {
-            snap.per_edge_data[port.edge as usize] = port.data;
-            snap.per_edge_dummies[port.edge as usize] = port.dummies;
             // An EOS-queued producer with an empty staging queue has
             // delivered its EOS marker; consumers never pop EOS, so it is
             // part of the channel state and must survive the restore.
@@ -248,47 +286,20 @@ impl JobState {
                 snap.channels[port.edge as usize].push(Message::Eos);
             }
         }
-        snap.nodes[node] = Some(NodeSnapshot {
-            gaps: task.wrapper.gaps().to_vec(),
-            next_source_seq: task.next_source_seq,
-            eos_queued: task.eos_queued,
-            done: task.done,
-            firings: task.firings,
-            sink_firings: task.sink_firings,
-            staged: {
-                // Flatten staged containers to the per-message `FILASNAP`
-                // wire form so batched snapshots restore anywhere.
-                let mut staged = Vec::new();
-                for port in &task.outs {
-                    port.queue.for_each(&mut |m| staged.push((port.edge, m)));
-                }
-                staged
-            },
-        });
+        snap.nodes[node] = Some(task.snapshot());
         snap.remaining -= 1;
         if snap.remaining == 0 {
-            let nodes: Vec<NodeSnapshot> = snap
+            let nodes = snap
                 .nodes
                 .iter_mut()
                 .map(|n| n.take().expect("every task contributed"))
                 .collect();
-            let steps = nodes.iter().map(|n| n.firings).sum();
-            let sink_firings = nodes.iter().map(|n| n.sink_firings).sum();
-            snap.result = Some(Ok(Box::new(JobSnapshot {
-                version: SNAPSHOT_VERSION,
-                labeled_topology: self.meta.labeled_topology,
-                fingerprint: None,
-                filter_signature: None,
-                plan_digest: self.meta.plan_digest,
-                trigger: self.meta.trigger,
-                inputs: self.inputs,
-                steps,
-                sink_firings,
-                per_edge_data: std::mem::take(&mut snap.per_edge_data),
-                per_edge_dummies: std::mem::take(&mut snap.per_edge_dummies),
-                channels: std::mem::take(&mut snap.channels),
+            snap.result = Some(Ok(Box::new(self.job_snapshot(
                 nodes,
-            })));
+                std::mem::take(&mut snap.per_edge_data),
+                std::mem::take(&mut snap.per_edge_dummies),
+                std::mem::take(&mut snap.channels),
+            ))));
             self.snap_pending.store(0, Ordering::Release);
             self.snap_cv.notify_all();
         }
@@ -332,13 +343,6 @@ impl task::SnapSink for JobSnapSink<'_> {
         }
         self.job.contribute(self.node, task);
     }
-}
-
-fn source_indices(g: &Graph) -> Vec<usize> {
-    g.node_ids()
-        .filter(|&n| g.in_degree(n) == 0)
-        .map(|n| n.index())
-        .collect()
 }
 
 struct DoneSlot {
@@ -393,13 +397,7 @@ impl JobHandle {
 
     /// The job's verdict, or `None` while it is still in flight.
     pub fn verdict(&self) -> Option<JobVerdict> {
-        match self.job.verdict.load(Ordering::SeqCst) {
-            JOB_COMPLETED => Some(JobVerdict::Completed),
-            JOB_DEADLOCKED => Some(JobVerdict::Deadlocked),
-            JOB_FAILED => Some(JobVerdict::Failed),
-            JOB_CANCELLED => Some(JobVerdict::Cancelled),
-            _ => None,
-        }
+        decode_verdict(self.job.verdict.load(Ordering::SeqCst))
     }
 
     /// True once the report is available ([`JobHandle::wait`] won't block).
@@ -480,11 +478,7 @@ impl JobHandle {
             let mut task = lock(&job.tasks[node]);
             let task = &mut *task;
             if task.snap_epoch != epoch
-                && (task.done
-                    || task.eos_queued
-                    || (task.is_source
-                        && task.staged == 0
-                        && task.next_source_seq >= job.snap_barrier.load(Ordering::SeqCst)))
+                && task.aligned(job.snap_barrier.load(Ordering::SeqCst), None)
             {
                 task.snap_epoch = epoch;
                 job.contribute(node, task);
@@ -541,38 +535,27 @@ impl JobHandle {
         let mut per_edge_data = vec![0; job.edge_count];
         let mut per_edge_dummies = vec![0; job.edge_count];
         let mut channels = vec![Vec::new(); job.edge_count];
-        let nodes: Vec<NodeSnapshot> = job
+        let nodes = job
             .tasks
             .iter()
             .map(|task| {
                 // Tolerate poisoning: the panicked task's mutex is poisoned
                 // but its state (and its rings) are still meaningful.
                 let mut task = lock(task);
-                task::capture_wreck(
-                    &mut task,
-                    &mut per_edge_data,
-                    &mut per_edge_dummies,
-                    &mut channels,
-                )
+                task.record_counters(&mut per_edge_data, &mut per_edge_dummies);
+                // Drain the task's input rings, containers flattened back
+                // to messages.  No EOS is inferred: consumers never pop
+                // EOS, so a delivered marker is captured by the drain.
+                for port in &mut task.ins {
+                    let buf = &mut channels[port.edge as usize];
+                    while let Some(container) = port.rx.pop() {
+                        container.for_each(&mut |m| buf.push(m));
+                    }
+                }
+                task.snapshot()
             })
             .collect();
-        let steps = nodes.iter().map(|n| n.firings).sum();
-        let sink_firings = nodes.iter().map(|n| n.sink_firings).sum();
-        Ok(JobSnapshot {
-            version: SNAPSHOT_VERSION,
-            labeled_topology: job.meta.labeled_topology,
-            fingerprint: None,
-            filter_signature: None,
-            plan_digest: job.meta.plan_digest,
-            trigger: job.meta.trigger,
-            inputs: job.inputs,
-            steps,
-            sink_firings,
-            per_edge_data,
-            per_edge_dummies,
-            channels,
-            nodes,
-        })
+        Ok(job.job_snapshot(nodes, per_edge_data, per_edge_dummies, channels))
     }
 
     /// Samples the job's cumulative traffic counters while it keeps
@@ -590,10 +573,7 @@ impl JobHandle {
         for (idx, task) in job.tasks.iter().enumerate() {
             let task = lock(task);
             obs.per_node_firings[idx] = task.firings;
-            for port in &task.outs {
-                obs.per_edge_data[port.edge as usize] = port.data;
-                obs.per_edge_dummies[port.edge as usize] = port.dummies;
-            }
+            task.record_counters(&mut obs.per_edge_data, &mut obs.per_edge_dummies);
         }
         obs
     }
@@ -778,17 +758,13 @@ impl SharedPool {
 
     /// Submits a job with deadlock avoidance disabled.
     pub fn submit(&self, topology: &Topology, inputs: u64) -> JobHandle {
-        self.submit_with(topology, AvoidanceMode::Disabled, inputs)
-    }
-
-    /// Submits a job under the given avoidance mode.
-    pub fn submit_with(
-        &self,
-        topology: &Topology,
-        mode: AvoidanceMode,
-        inputs: u64,
-    ) -> JobHandle {
-        self.submit_full(topology, mode, PropagationTrigger::default(), inputs, None)
+        self.submit_full(
+            topology,
+            AvoidanceMode::Disabled,
+            PropagationTrigger::default(),
+            inputs,
+            None,
+        )
     }
 
     /// The full submission form: avoidance mode, Propagation trigger, and
@@ -802,87 +778,8 @@ impl SharedPool {
         inputs: u64,
         on_settle: Option<SettleHook>,
     ) -> JobHandle {
-        let started = Instant::now();
-        let g = topology.graph();
-        let node_count = g.node_count();
-        if node_count == 0 {
-            // Degenerate job: settle synchronously.
-            let report = ExecutionReport {
-                completed: true,
-                inputs_offered: inputs,
-                wall: started.elapsed(),
-                ..Default::default()
-            };
-            if let Some(hook) = on_settle {
-                hook(&report, JobVerdict::Completed);
-            }
-            let job = Arc::new(JobState {
-                tasks: Vec::new(),
-                states: Vec::new(),
-                active: CachePadded(AtomicUsize::new(0)),
-                unfinished: AtomicUsize::new(0),
-                verdict: AtomicU8::new(JOB_COMPLETED),
-                delivered: AtomicBool::new(true),
-                inputs,
-                edge_count: 0,
-                started,
-                slot: Mutex::new(DoneSlot {
-                    report: Some(report),
-                    on_settle: None,
-                }),
-                done_cv: Condvar::new(),
-                sources: Vec::new(),
-                meta: SnapMeta::new(g, &mode, trigger),
-                resumed_from: None,
-                snap_pending: AtomicU64::new(0),
-                snap_barrier: AtomicU64::new(0),
-                snap: Mutex::new(SnapState::default()),
-                snap_cv: Condvar::new(),
-                fault: None,
-                serial: u64::MAX,
-                t_submit_ns: 0,
-                failed_node: AtomicU32::new(u32::MAX),
-            });
-            return JobHandle { job, core: Arc::downgrade(&self.core) };
-        }
-
-        let tasks: Vec<Mutex<Task>> =
-            task::build_tasks(topology, &mode, trigger, self.core.batching)
-                .into_iter()
-                .map(Mutex::new)
-                .collect();
-        let (serial, fault) = self.core.arm_next();
-        let job = Arc::new(JobState {
-            states: (0..node_count).map(|_| AtomicU8::new(QUEUED)).collect(),
-            tasks,
-            active: CachePadded(AtomicUsize::new(node_count)),
-            unfinished: AtomicUsize::new(node_count),
-            verdict: AtomicU8::new(JOB_RUNNING),
-            delivered: AtomicBool::new(false),
-            inputs,
-            edge_count: g.edge_count(),
-            started,
-            slot: Mutex::new(DoneSlot {
-                report: None,
-                on_settle,
-            }),
-            done_cv: Condvar::new(),
-            sources: source_indices(g),
-            meta: SnapMeta::new(g, &mode, trigger),
-            resumed_from: None,
-            snap_pending: AtomicU64::new(0),
-            snap_barrier: AtomicU64::new(0),
-            snap: Mutex::new(SnapState::default()),
-            snap_cv: Condvar::new(),
-            fault,
-            serial,
-            t_submit_ns: self.core.telemetry.as_ref().map_or(0, TelemetryHandle::now_ns),
-            failed_node: AtomicU32::new(u32::MAX),
-        });
-        lock(&self.core.live).push(Arc::clone(&job));
-        // From the seeding on the job is scheduled purely by channel events.
-        self.core.seed(&job);
-        JobHandle { job, core: Arc::downgrade(&self.core) }
+        self.launch(topology, mode, trigger, inputs, None, on_settle)
+            .expect("a fresh submission restores no snapshot state")
     }
 
     /// Restores a [`JobSnapshot`] as a new job on this pool: the job picks
@@ -905,126 +802,53 @@ impl SharedPool {
         on_settle: Option<SettleHook>,
     ) -> Result<JobHandle, RestoreError> {
         snapshot.validate_for(topology, &mode, trigger)?;
+        self.launch(
+            topology,
+            mode,
+            trigger,
+            snapshot.inputs,
+            Some(snapshot),
+            on_settle,
+        )
+    }
+
+    /// The one launch path of a job: builds its tasks (restored from
+    /// `resume`, if given) and seeds them.  A job with nothing to run —
+    /// an empty topology, or a restore whose every task is done — settles
+    /// at once through [`PoolCore::deliver`] and draws no job serial, so a
+    /// fault plan's serial→arm mapping counts only jobs that run.
+    fn launch(
+        &self,
+        topology: &Topology,
+        mode: AvoidanceMode,
+        trigger: PropagationTrigger,
+        inputs: u64,
+        resume: Option<&JobSnapshot>,
+        on_settle: Option<SettleHook>,
+    ) -> Result<JobHandle, RestoreError> {
         let started = Instant::now();
         let g = topology.graph();
-        let node_count = g.node_count();
         let mut tasks = task::build_tasks(topology, &mode, trigger, self.core.batching);
-        for (idx, task) in tasks.iter_mut().enumerate() {
-            let node = &snapshot.nodes[idx];
-            task.next_source_seq = node.next_source_seq;
-            task.eos_queued = node.eos_queued;
-            task.done = node.done;
-            task.firings = node.firings;
-            task.sink_firings = node.sink_firings;
-            task.wrapper.restore_gaps(&node.gaps);
-            for port in &mut task.outs {
-                port.data = snapshot.per_edge_data[port.edge as usize];
-                port.dummies = snapshot.per_edge_dummies[port.edge as usize];
-                for &message in &snapshot.channels[port.edge as usize] {
-                    // `validate_for` bounds channel lengths by ring capacity,
-                    // but a hostile/corrupted blob must degrade to a typed
-                    // error, never a panic on the restore path.  One unit
-                    // container per wire message always fits: the ring has
-                    // one slot per modelled message of capacity.
-                    if port.tx.push(Batch::from_message(message)).is_err() {
-                        return Err(RestoreError::Corrupted(
-                            "restored channel overflows ring capacity".into(),
-                        ));
-                    }
-                }
-            }
-            for &(edge, message) in &node.staged {
-                let port = match task.outs.iter_mut().find(|p| p.edge == edge) {
-                    Some(port) => port,
-                    None => {
-                        return Err(RestoreError::Corrupted(
-                            "staged message on an edge the node does not produce".into(),
-                        ))
-                    }
-                };
-                // Re-pack the wire-form staged list (per-port, in order)
-                // into containers.  No limit here: a batched capture may
-                // have staged more messages than this engine's per-push
-                // limit, and delivery re-splits by ring space anyway.
-                let use_second = port.queue.second.is_some();
-                let slot = if use_second {
-                    &mut port.queue.second
-                } else {
-                    &mut port.queue.first
-                };
-                let rejected = match slot {
-                    Some(batch) => batch.try_push(usize::MAX, message).is_err(),
-                    None => {
-                        *slot = Some(Batch::from_message(message));
-                        false
-                    }
-                };
-                if rejected {
-                    // Out of sequence order within the open container: the
-                    // capture engines never produce this mid-port, so at
-                    // most one fresh container absorbs it (data-then-dummy
-                    // boundaries); anything further is a corrupted blob.
-                    if use_second {
-                        return Err(RestoreError::Corrupted(
-                            "staged messages out of sequence order".into(),
-                        ));
-                    }
-                    port.queue.second = Some(Batch::from_message(message));
-                }
-                task.staged += 1;
+        if let Some(snapshot) = resume {
+            for (task, node) in tasks.iter_mut().zip(&snapshot.nodes) {
+                task.restore(node, snapshot)?;
             }
         }
+        let node_count = tasks.len();
         let unfinished = tasks.iter().filter(|task| !task.done).count();
-        let tasks: Vec<Mutex<Task>> = tasks.into_iter().map(Mutex::new).collect();
-        if unfinished == 0 {
-            // The snapshot caught the job fully drained (every node done):
-            // settle synchronously, exactly like the empty-topology path.
-            let mut report =
-                task::assemble_report(&tasks, g.edge_count(), snapshot.inputs, false);
-            report.completed = true;
-            report.resumed_from = Some(snapshot.steps);
-            report.wall = started.elapsed();
-            if let Some(hook) = on_settle {
-                hook(&report, JobVerdict::Completed);
-            }
-            let job = Arc::new(JobState {
-                tasks,
-                states: (0..node_count).map(|_| AtomicU8::new(IDLE)).collect(),
-                active: CachePadded(AtomicUsize::new(0)),
-                unfinished: AtomicUsize::new(0),
-                verdict: AtomicU8::new(JOB_COMPLETED),
-                delivered: AtomicBool::new(true),
-                inputs: snapshot.inputs,
-                edge_count: g.edge_count(),
-                started,
-                slot: Mutex::new(DoneSlot {
-                    report: Some(report),
-                    on_settle: None,
-                }),
-                done_cv: Condvar::new(),
-                sources: source_indices(g),
-                meta: SnapMeta::new(g, &mode, trigger),
-                resumed_from: Some(snapshot.steps),
-                snap_pending: AtomicU64::new(0),
-                snap_barrier: AtomicU64::new(0),
-                snap: Mutex::new(SnapState::default()),
-                snap_cv: Condvar::new(),
-                fault: None,
-                serial: u64::MAX,
-                t_submit_ns: 0,
-                failed_node: AtomicU32::new(u32::MAX),
-            });
-            return Ok(JobHandle { job, core: Arc::downgrade(&self.core) });
-        }
-        let (serial, fault) = self.core.arm_next();
+        let (serial, fault) = if unfinished > 0 {
+            self.core.arm_next()
+        } else {
+            (u64::MAX, None)
+        };
         let job = Arc::new(JobState {
+            tasks: tasks.into_iter().map(Mutex::new).collect(),
             states: (0..node_count).map(|_| AtomicU8::new(QUEUED)).collect(),
-            tasks,
             active: CachePadded(AtomicUsize::new(node_count)),
             unfinished: AtomicUsize::new(unfinished),
             verdict: AtomicU8::new(JOB_RUNNING),
             delivered: AtomicBool::new(false),
-            inputs: snapshot.inputs,
+            inputs,
             edge_count: g.edge_count(),
             started,
             slot: Mutex::new(DoneSlot {
@@ -1032,22 +856,40 @@ impl SharedPool {
                 on_settle,
             }),
             done_cv: Condvar::new(),
-            sources: source_indices(g),
+            sources: g
+                .node_ids()
+                .filter(|&n| g.in_degree(n) == 0)
+                .map(|n| n.index())
+                .collect(),
             meta: SnapMeta::new(g, &mode, trigger),
-            resumed_from: Some(snapshot.steps),
+            resumed_from: resume.map(|snapshot| snapshot.steps),
             snap_pending: AtomicU64::new(0),
             snap_barrier: AtomicU64::new(0),
             snap: Mutex::new(SnapState::default()),
             snap_cv: Condvar::new(),
             fault,
             serial,
-            t_submit_ns: self.core.telemetry.as_ref().map_or(0, TelemetryHandle::now_ns),
+            t_submit_ns: self
+                .core
+                .telemetry
+                .as_ref()
+                .map_or(0, TelemetryHandle::now_ns),
             failed_node: AtomicU32::new(u32::MAX),
         });
-        lock(&self.core.live).push(Arc::clone(&job));
-        // Done tasks retire themselves on their first run.
-        self.core.seed(&job);
-        Ok(JobHandle { job, core: Arc::downgrade(&self.core) })
+        if unfinished == 0 {
+            job.verdict.store(JOB_COMPLETED, Ordering::SeqCst);
+            self.core.deliver(&job);
+        } else {
+            lock(&self.core.live).push(Arc::clone(&job));
+            // From the seeding on the job is scheduled purely by channel
+            // events; restored tasks that are done retire on their first
+            // run.
+            self.core.seed(&job);
+        }
+        Ok(JobHandle {
+            job,
+            core: Arc::downgrade(&self.core),
+        })
     }
 
     /// Restores a snapshot under a **different** avoidance plan than the
@@ -1495,12 +1337,8 @@ impl PoolCore {
         if job.delivered.swap(true, Ordering::SeqCst) {
             return;
         }
-        let verdict = match job.verdict.load(Ordering::SeqCst) {
-            JOB_COMPLETED => JobVerdict::Completed,
-            JOB_DEADLOCKED => JobVerdict::Deadlocked,
-            JOB_FAILED => JobVerdict::Failed,
-            _ => JobVerdict::Cancelled,
-        };
+        let verdict = decode_verdict(job.verdict.load(Ordering::SeqCst))
+            .expect("a job is delivered only once its verdict is set");
         // A checkpoint still pending at settle time can never complete (no
         // task will ever contribute again); fulfil it with the verdict so
         // the checkpointer returns instead of hanging.
@@ -1635,7 +1473,13 @@ mod tests {
             .plan()
             .unwrap();
         let topo = fig2_filtered(2);
-        let h = pool.submit_with(&topo, AvoidanceMode::plan(plan), 500);
+        let h = pool.submit_full(
+            &topo,
+            AvoidanceMode::plan(plan),
+            PropagationTrigger::default(),
+            500,
+            None,
+        );
         let r = h.wait();
         assert!(r.completed, "{r:?}");
         assert!(r.dummy_messages > 0);
@@ -1657,7 +1501,13 @@ mod tests {
         let sim = Simulator::new(&topo)
             .with_shared_plan(Arc::clone(&plan))
             .run(400);
-        let h = pool.submit_with(&topo, AvoidanceMode::Plan(plan), 400);
+        let h = pool.submit_full(
+            &topo,
+            AvoidanceMode::Plan(plan),
+            PropagationTrigger::default(),
+            400,
+            None,
+        );
         let pooled = h.wait();
         assert!(sim.completed && pooled.completed);
         assert_eq!(sim.per_edge_data, pooled.per_edge_data);
@@ -1754,11 +1604,27 @@ mod tests {
     fn empty_topology_settles_synchronously() {
         let pool = SharedPool::new(1);
         let topo = crate::Topology::from_graph(&Graph::new());
-        let h = pool.submit(&topo, 7);
+        let count = Arc::new(AtomicU32::new(0));
+        let c = Arc::clone(&count);
+        let h = pool.submit_full(
+            &topo,
+            AvoidanceMode::Disabled,
+            PropagationTrigger::default(),
+            7,
+            Some(Box::new(move |report, verdict| {
+                assert_eq!(verdict, JobVerdict::Completed);
+                assert!(report.completed);
+                c.fetch_add(1, Ordering::SeqCst);
+            })),
+        );
         assert!(h.is_settled());
+        assert_eq!(count.load(Ordering::SeqCst), 1);
         let r = h.wait();
         assert!(r.completed);
         assert_eq!(r.inputs_offered, 7);
+        // A job with nothing to run draws no serial: seeded fault plans
+        // keep arming the same jobs.
+        assert_eq!(pool.core.next_serial.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -38,7 +38,6 @@ use fila_graph::{EdgeId, Graph, NodeId};
 use crate::checkpoint::{
     self, CheckpointOutcome, JobSnapshot, NodeSnapshot, RestoreError, SNAPSHOT_VERSION,
 };
-use crate::container::Batching;
 use crate::message::{Message, Payload};
 use crate::node::{FireDecision, FireInput};
 use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
@@ -63,7 +62,6 @@ pub struct Simulator<'t> {
     trigger: PropagationTrigger,
     scheduler: Scheduler,
     max_steps: u64,
-    batching: Batching,
 }
 
 impl<'t> Simulator<'t> {
@@ -75,7 +73,6 @@ impl<'t> Simulator<'t> {
             trigger: PropagationTrigger::default(),
             scheduler: Scheduler::default(),
             max_steps: u64::MAX,
-            batching: Batching::Messages(1),
         }
     }
 
@@ -119,24 +116,11 @@ impl<'t> Simulator<'t> {
         self
     }
 
-    /// Selects the batching mode: under [`Batching::Messages`] /
-    /// [`Batching::Unbounded`] the worklist scheduler drains up to that many
-    /// consecutive steps from a popped node before moving on, consuming
-    /// message runs in place of single messages.  The default is
-    /// [`Batching::Messages`]`(1)`, one step per pop — the simulator is the
-    /// reference engine the batched pool is pinned against, and by the
-    /// model's confluence every mode yields identical verdicts and counts
-    /// (see `tests/engine_equivalence.rs`).
-    pub fn batching(mut self, batching: Batching) -> Self {
-        self.batching = batching;
-        self
-    }
-
     /// Runs the application, offering `inputs` sequence numbers at every
     /// source node, and returns the execution report.
     pub fn run(&self, inputs: u64) -> ExecutionReport {
         let started = std::time::Instant::now();
-        let run = Run::new(self.topology, &self.mode, self.trigger, inputs, self.batching);
+        let run = Run::new(self.topology, &self.mode, self.trigger, inputs);
         let mut report = match self.scheduler {
             Scheduler::Worklist => run.execute_worklist(self.max_steps),
             Scheduler::Scan => run.execute_scan(self.max_steps),
@@ -154,7 +138,7 @@ impl<'t> Simulator<'t> {
     /// scheduler (the kill step indexes its step sequence).
     pub fn run_with_checkpoint(&self, inputs: u64, kill_at: u64) -> CheckpointOutcome {
         let started = std::time::Instant::now();
-        let run = Run::new(self.topology, &self.mode, self.trigger, inputs, self.batching);
+        let run = Run::new(self.topology, &self.mode, self.trigger, inputs);
         match run.worklist_until(self.max_steps, false, kill_at) {
             WorklistEnd::Report(mut report) => {
                 report.wall = started.elapsed();
@@ -181,7 +165,7 @@ impl<'t> Simulator<'t> {
     pub fn resume(&self, snapshot: &JobSnapshot) -> Result<ExecutionReport, RestoreError> {
         let started = std::time::Instant::now();
         snapshot.validate_for(self.topology, &self.mode, self.trigger)?;
-        let mut run = Run::new(self.topology, &self.mode, self.trigger, snapshot.inputs, self.batching);
+        let mut run = Run::new(self.topology, &self.mode, self.trigger, snapshot.inputs);
         for (channel, contents) in run.channels.iter_mut().zip(&snapshot.channels) {
             *channel = contents.iter().copied().collect();
         }
@@ -245,9 +229,6 @@ struct Run<'t> {
     capacities: Vec<usize>,
     nodes: Vec<NodeState>,
     report: ExecutionReport,
-    /// Consecutive steps the worklist scheduler drains from a popped node
-    /// (1 = scalar; see [`Simulator::batching`]).
-    batch_limit: u64,
     /// Reusable per-firing scratch: consumed payloads per input channel.
     data_in: Vec<Option<Payload>>,
     /// Reusable scratch for [`Run::flush_pending`]'s full-channel set.
@@ -266,7 +247,6 @@ impl<'t> Run<'t> {
         mode: &AvoidanceMode,
         trigger: PropagationTrigger,
         inputs: u64,
-        batching: Batching,
     ) -> Self {
         let g = topology.graph();
         let channels = vec![VecDeque::new(); g.edge_count()];
@@ -298,7 +278,6 @@ impl<'t> Run<'t> {
         Run {
             topology,
             inputs,
-            batch_limit: (batching.limit() as u64).max(1),
             channels,
             capacities,
             nodes,
@@ -349,32 +328,19 @@ impl<'t> Run<'t> {
         }
         while let Some(node) = queue.pop_front() {
             in_queue[node.index()] = false;
-            // Batching drains up to `batch_limit` consecutive steps from
-            // the popped node before the ready queue moves on (run-at-a-time
-            // consumption; scalar mode is a limit of one).
-            let mut stepped = 0;
-            while stepped < self.batch_limit {
-                if self.report.steps >= kill_at {
-                    return WorklistEnd::Killed(Box::new(self));
-                }
-                if self.report.steps >= max_steps {
-                    return WorklistEnd::Report(self.finish(false, false));
-                }
-                if !self.step(node) {
-                    break;
-                }
-                self.report.steps += 1;
-                stepped += 1;
-                if self.nodes[node.index()].done {
-                    break;
-                }
+            if self.report.steps >= kill_at {
+                return WorklistEnd::Killed(Box::new(self));
             }
-            if stepped == 0 {
+            if self.report.steps >= max_steps {
+                return WorklistEnd::Report(self.finish(false, false));
+            }
+            if !self.step(node) {
                 // A node that could not progress recorded no channel events
                 // and is woken again only by one.
                 debug_assert!(self.filled.is_empty() && self.drained.is_empty());
                 continue;
             }
+            self.report.steps += 1;
             // The fired node may be able to progress again immediately …
             if !self.nodes[node.index()].done && !in_queue[node.index()] {
                 in_queue[node.index()] = true;

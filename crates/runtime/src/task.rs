@@ -3,10 +3,10 @@
 //! A [`Task`] is everything one compute node needs to run cooperatively on a
 //! worker pool: its behaviour, its dummy wrapper, the owned endpoints of its
 //! input and output rings, the two-slot output staging queues, and the
-//! per-node progress counters.  The stepping functions in this module mirror
-//! [`crate::Simulator`]'s per-node semantics exactly (same acceptance rule,
-//! same per-channel independent delivery), so the pool is confluent to the
-//! same terminal state as the simulator.
+//! per-node progress counters.  [`run_task`] is the pool's one acceptance
+//! loop; it follows [`crate::Simulator`]'s per-node semantics exactly (same
+//! acceptance rule, same per-channel independent delivery), so the pool is
+//! confluent to the same terminal state as the simulator.
 //!
 //! [`crate::SharedPool`] schedules these tasks (how they are queued, woken
 //! and how verdicts are detected); everything a task does while it holds a
@@ -26,12 +26,23 @@
 //! engine's exactly one-firing overshoot on a full channel — and the
 //! Kahn-network confluence of the model does the rest: verdicts, per-edge
 //! counts and checkpoint barriers are identical across batching limits.
+//!
+//! ## Barrier alignment
+//!
+//! While a barrier snapshot with barrier `k` is pending, the same loop runs
+//! with `k` as a stop: a source stops producing at `min(inputs, k)`, and
+//! the interior bulk paths split runs at `k`.  One rule,
+//! [`Task::aligned`], decides when a task contributes: the next sequence
+//! number it would consume or produce is `≥ k`, and no output it accepted
+//! before `k` is still staged.  An interior task whose input scan reaches
+//! `k` with pre-barrier output staged ends its run; `run_task` flushes,
+//! and the next scan contributes with empty staging.
 
 use std::sync::Mutex;
 
 use fila_graph::NodeId;
 
-use crate::checkpoint::NodeSnapshot;
+use crate::checkpoint::{JobSnapshot, NodeSnapshot, RestoreError};
 use crate::container::{Batch, Batching, Run};
 use crate::message::{Message, Payload};
 use crate::node::{FireInput, NodeBehavior};
@@ -81,6 +92,15 @@ impl Stage {
             return;
         };
         self.second = Some(Batch::from_message(m));
+    }
+
+    /// Sequence number of the oldest staged message, if any.
+    fn front_seq(&self) -> Option<u64> {
+        [&self.first, &self.second]
+            .into_iter()
+            .flatten()
+            .find(|c| !c.is_empty())
+            .map(|c| c.front().seq())
     }
 
     /// Visits every staged message front to back (checkpoint flattening).
@@ -169,6 +189,137 @@ impl Task {
     pub(crate) fn delivered(&self) -> u64 {
         self.outs.iter().map(|p| p.data + p.dummies).sum()
     }
+
+    /// Writes this task's out-port delivery counters into the per-edge
+    /// tables (each edge has exactly one producer).
+    pub(crate) fn record_counters(&self, per_edge_data: &mut [u64], per_edge_dummies: &mut [u64]) {
+        for port in &self.outs {
+            per_edge_data[port.edge as usize] = port.data;
+            per_edge_dummies[port.edge as usize] = port.dummies;
+        }
+    }
+
+    /// This task's progress as a [`NodeSnapshot`], staged containers
+    /// flattened to the per-message `FILASNAP` wire form so batched
+    /// snapshots restore anywhere.
+    pub(crate) fn snapshot(&self) -> NodeSnapshot {
+        let mut staged = Vec::new();
+        for port in &self.outs {
+            port.queue.for_each(&mut |m| staged.push((port.edge, m)));
+        }
+        NodeSnapshot {
+            gaps: self.wrapper.gaps().to_vec(),
+            next_source_seq: self.next_source_seq,
+            eos_queued: self.eos_queued,
+            done: self.done,
+            firings: self.firings,
+            sink_firings: self.sink_firings,
+            staged,
+        }
+    }
+
+    /// Restores a freshly built task to `node`, its state in `snapshot`:
+    /// progress counters, wrapper gaps, its out-edges' delivery counters
+    /// and channel contents, and its staged outputs re-packed into
+    /// containers.  A blob that does not fit the task is a typed error,
+    /// never a panic.
+    pub(crate) fn restore(
+        &mut self,
+        node: &NodeSnapshot,
+        snapshot: &JobSnapshot,
+    ) -> Result<(), RestoreError> {
+        self.next_source_seq = node.next_source_seq;
+        self.eos_queued = node.eos_queued;
+        self.done = node.done;
+        self.firings = node.firings;
+        self.sink_firings = node.sink_firings;
+        self.wrapper.restore_gaps(&node.gaps);
+        for port in &mut self.outs {
+            port.data = snapshot.per_edge_data[port.edge as usize];
+            port.dummies = snapshot.per_edge_dummies[port.edge as usize];
+            for &message in &snapshot.channels[port.edge as usize] {
+                // `validate_for` bounds channel lengths by ring capacity,
+                // but a hostile/corrupted blob must degrade to a typed
+                // error, never a panic on the restore path.  One unit
+                // container per wire message always fits: the ring has
+                // one slot per modelled message of capacity.
+                if port.tx.push(Batch::from_message(message)).is_err() {
+                    return Err(RestoreError::Corrupted(
+                        "restored channel overflows ring capacity".into(),
+                    ));
+                }
+            }
+        }
+        for &(edge, message) in &node.staged {
+            let Some(port) = self.outs.iter_mut().find(|p| p.edge == edge) else {
+                return Err(RestoreError::Corrupted(
+                    "staged message on an edge the node does not produce".into(),
+                ));
+            };
+            // Re-pack the wire-form staged list (per-port, in order) into
+            // containers.  No limit here: a batched capture may have
+            // staged more messages than this engine's per-push limit, and
+            // delivery re-splits by ring space anyway.
+            let use_second = port.queue.second.is_some();
+            let slot = if use_second {
+                &mut port.queue.second
+            } else {
+                &mut port.queue.first
+            };
+            let rejected = match slot {
+                Some(batch) => batch.try_push(usize::MAX, message).is_err(),
+                None => {
+                    *slot = Some(Batch::from_message(message));
+                    false
+                }
+            };
+            if rejected {
+                // Out of sequence order within the open container: the
+                // capture engines never produce this mid-port, so at most
+                // one fresh container absorbs it (data-then-dummy
+                // boundaries); anything further is a corrupted blob.
+                if use_second {
+                    return Err(RestoreError::Corrupted(
+                        "staged messages out of sequence order".into(),
+                    ));
+                }
+                port.queue.second = Some(Batch::from_message(message));
+            }
+            self.staged += 1;
+        }
+        Ok(())
+    }
+
+    /// The barrier-alignment rule, the one place it is written: the task
+    /// may contribute to a snapshot with barrier `barrier` once the next
+    /// sequence number it would consume or produce is `≥ barrier` **and**
+    /// no output it accepted before the barrier is still staged.
+    ///
+    /// The next sequence number is the source cursor for a source, the
+    /// maximal EOS number for a task that queued its EOS markers, and for
+    /// an interior task the acceptance number `accept_seq` its input scan
+    /// found (`None` outside a scan: not aligned).  Staged pre-barrier
+    /// outputs must be delivered — and counted at the consumer's own
+    /// alignment — before the task's counters are frozen, or a restore
+    /// would deliver them a second time to a consumer that already
+    /// processed them.
+    pub(crate) fn aligned(&self, barrier: u64, accept_seq: Option<u64>) -> bool {
+        let next = if self.done || self.eos_queued {
+            u64::MAX
+        } else if self.is_source {
+            self.next_source_seq
+        } else {
+            match accept_seq {
+                Some(seq) => seq,
+                None => return false,
+            }
+        };
+        next >= barrier
+            && self
+                .outs
+                .iter()
+                .all(|port| port.queue.front_seq().map_or(true, |seq| seq >= barrier))
+    }
 }
 
 /// A pending barrier snapshot, as seen from inside [`run_task`].
@@ -185,70 +336,23 @@ pub(crate) trait SnapSink {
     fn contribute(&self, task: &mut Task);
 }
 
-/// Contributes `task` to a pending snapshot if it is *already aligned*
-/// without consuming anything further: it is done, has queued its EOS
-/// markers (both mean its remaining work touches no pre-barrier sequence
-/// number), or is a source whose cursor reached the barrier **with nothing
-/// left in its staging queues** — staged pre-barrier messages must be
-/// delivered (and counted at the consumer's own alignment) before the
-/// source's counters are frozen, or the restore would re-deliver them to a
-/// consumer that already processed them.  Tasks aligned mid-stream are
-/// caught by the acceptance-time check in [`step`] instead.
-fn contribute_if_aligned(task: &mut Task, snap: &dyn SnapSink) {
+/// The pending snapshot `task` has not contributed to yet, as
+/// `(epoch, barrier)`.
+fn uncontributed(task: &Task, snap: &dyn SnapSink) -> Option<(u64, u64)> {
     let epoch = snap.pending();
-    if epoch == 0 || task.snap_epoch == epoch {
-        return;
-    }
-    if task.done
-        || task.eos_queued
-        || (task.is_source && task.staged == 0 && task.next_source_seq >= snap.barrier())
-    {
-        task.snap_epoch = epoch;
-        snap.contribute(task);
-    }
+    (epoch != 0 && task.snap_epoch != epoch).then(|| (epoch, snap.barrier()))
 }
 
-/// Destructively captures a task's **verbatim** final state for a wreck
-/// snapshot ([`crate::shared_pool::JobHandle::salvage`]): out-port delivery
-/// counters, staged messages, wrapper gaps, and — unlike the aligned
-/// barrier capture in [`SnapSink::contribute`] — the task's *input* rings,
-/// drained (containers flattened back to messages) into the per-edge
-/// channel buffers.  No EOS is inferred: a delivered EOS marker is still
-/// sitting in the consumer's ring (consumers never pop EOS) and is captured
-/// literally by the drain.
-///
-/// The result is not a consistent cut: a job that died mid-flight has
-/// tasks at unrelated sequence numbers.  It is exactly the raw material a
-/// partial restart splices against a consistent base snapshot
-/// ([`crate::checkpoint::JobSnapshot::splice_downstream`]).
-pub(crate) fn capture_wreck(
-    task: &mut Task,
-    per_edge_data: &mut [u64],
-    per_edge_dummies: &mut [u64],
-    channels: &mut [Vec<Message>],
-) -> NodeSnapshot {
-    for port in &task.outs {
-        per_edge_data[port.edge as usize] = port.data;
-        per_edge_dummies[port.edge as usize] = port.dummies;
-    }
-    for port in &mut task.ins {
-        let buf = &mut channels[port.edge as usize];
-        while let Some(container) = port.rx.pop() {
-            container.for_each(&mut |m| buf.push(m));
+/// Contributes `task` to a pending snapshot if it is *already aligned*
+/// without consuming anything further (see [`Task::aligned`]).  Interior
+/// tasks still consuming input align at acceptance time instead, inside
+/// [`interior_run`]'s scan.
+fn contribute_if_aligned(task: &mut Task, snap: &dyn SnapSink) {
+    if let Some((epoch, barrier)) = uncontributed(task, snap) {
+        if task.aligned(barrier, None) {
+            task.snap_epoch = epoch;
+            snap.contribute(task);
         }
-    }
-    let mut staged = Vec::new();
-    for port in &task.outs {
-        port.queue.for_each(&mut |m| staged.push((port.edge, m)));
-    }
-    NodeSnapshot {
-        gaps: task.wrapper.gaps().to_vec(),
-        next_source_seq: task.next_source_seq,
-        eos_queued: task.eos_queued,
-        done: task.done,
-        firings: task.firings,
-        sink_firings: task.sink_firings,
-        staged,
     }
 }
 
@@ -336,8 +440,8 @@ pub(crate) fn build_tasks(
 
 /// Runs one task for up to `batch` accepted sequence numbers.  `wake`
 /// receives the node index of every peer task a channel event of this run
-/// made runnable.  `snap` is checked before every run (and at acceptance
-/// time inside the run loops) so a task never crosses a pending snapshot
+/// made runnable.  `snap` is checked before every run and at acceptance
+/// time inside the run loops, so a task never crosses a pending snapshot
 /// barrier without contributing its aligned state first.
 ///
 /// The loop flushes, then drains runs while staging stays within both the
@@ -355,10 +459,7 @@ pub(crate) fn run_task(
     let mut accepted: u32 = 0;
     loop {
         // Deliver leftover staged output *before* the alignment check: a
-        // source only contributes with empty staging queues, and checking
-        // first would let the per-message fallback below fire it past the
-        // barrier right after this flush drained them — freezing its
-        // counters at a cursor the restore never re-plays.
+        // task contributes only once its pre-barrier outputs have shipped.
         flush(task, wake);
         mark_done_if_drained(task);
         contribute_if_aligned(task, snap);
@@ -372,18 +473,8 @@ pub(crate) fn run_task(
         if accepted >= batch {
             return Outcome::Yielded;
         }
-        let epoch = snap.pending();
-        if epoch != 0 && task.snap_epoch != epoch {
-            // A snapshot is being collected: drop to the per-message step
-            // for its exact acceptance-time barrier alignment.
-            if !step(task, inputs, wake, snap) {
-                return Outcome::Blocked;
-            }
-            accepted += 1;
-            continue;
-        }
         let progressed = if task.is_source {
-            source_run(task, inputs, &mut accepted, batch)
+            source_run(task, inputs, &mut accepted, batch, snap)
         } else {
             let progressed = interior_run(task, &mut accepted, batch, snap);
             // One producer-wake check per consumed input for the whole run
@@ -438,19 +529,23 @@ fn interior_run(task: &mut Task, accepted: &mut u32, batch: u32, snap: &dyn Snap
             };
             accept_seq = accept_seq.min(head.seq());
         }
-        // Acceptance-time barrier alignment, exactly like [`step`]'s: a
-        // snapshot epoch can be published *mid-run* (the slice-top check in
-        // `run_task` precedes it), and a head with seq ≥ barrier proves
-        // the publication happened-before its arrival — so it must not be
-        // consumed until this task's pre-barrier state is contributed.
+        // Acceptance-time barrier alignment: a snapshot epoch can be
+        // published *mid-run* (after `run_task`'s check), and a head with
+        // seq ≥ barrier proves the publication happened-before its arrival
+        // — so it must not be consumed until this task's pre-barrier state
+        // is contributed.  Outputs this run accepted before the barrier are
+        // still staged then: end the run, and after `run_task`'s flush the
+        // next scan contributes with empty staging.
         let mut barrier = u64::MAX;
-        let epoch = snap.pending();
-        if epoch != 0 && task.snap_epoch != epoch {
-            barrier = snap.barrier();
-            if accept_seq >= barrier {
+        if let Some((epoch, b)) = uncontributed(task, snap) {
+            if accept_seq < b {
+                barrier = b;
+            } else if task.aligned(b, Some(accept_seq)) {
                 task.snap_epoch = epoch;
                 snap.contribute(task);
-                barrier = u64::MAX;
+            } else {
+                debug_assert!(progressed, "staged output implies an acceptance this run");
+                break 'run;
             }
         }
         if accept_seq == u64::MAX {
@@ -669,12 +764,21 @@ fn stage_dummy_run(out: &mut OutPort, first: u64, n: u64) {
     debug_assert_eq!(took, n, "bulk dummy staging was bounded by queue room");
 }
 
-/// Drains source firings until the budget or the staging room runs out;
-/// stages the EOS markers (once, with empty staging queues, like the
-/// simulator) when the input supply is exhausted.
-fn source_run(task: &mut Task, inputs: u64, accepted: &mut u32, batch: u32) -> bool {
+/// Drains source firings until the budget or the staging room runs out,
+/// stopping at the barrier of a pending snapshot the source has not
+/// contributed to (it contributes there, once its staging drained); stages
+/// the EOS markers (once, with empty staging queues, like the simulator)
+/// when the input supply is exhausted.
+fn source_run(
+    task: &mut Task,
+    inputs: u64,
+    accepted: &mut u32,
+    batch: u32,
+    snap: &dyn SnapSink,
+) -> bool {
+    let end = uncontributed(task, snap).map_or(inputs, |(_, barrier)| barrier.min(inputs));
     let mut progressed = false;
-    while *accepted < batch && task.next_source_seq < inputs && outputs_have_room(task) {
+    while *accepted < batch && task.next_source_seq < end && outputs_have_room(task) {
         let seq = task.next_source_seq;
         task.next_source_seq += 1;
         task.firings += 1;
@@ -696,142 +800,16 @@ fn source_run(task: &mut Task, inputs: u64, accepted: &mut u32, batch: u32) -> b
     progressed
 }
 
-/// Attempts one unit of progress on a task; mirrors `Simulator`'s per-node
-/// step exactly (same acceptance rule, same per-channel independent
-/// delivery).  [`run_task`] drops to it while a snapshot is being
-/// collected, for its exact acceptance-time barrier alignment.
-fn step(task: &mut Task, inputs: u64, wake: &mut dyn FnMut(u32), snap: &dyn SnapSink) -> bool {
-    // Phase 1: flush staged outputs; a node with undelivered messages does
-    // nothing else (mirrors a blocking send).
-    if flush(task, wake) {
-        return true;
-    }
-    if task.staged > 0 {
-        // Still blocked on some full channel; `flush` registered the
-        // producer waiting flags.
-        return false;
-    }
-    if task.done {
-        return false;
-    }
-    if task.is_source {
-        return step_source(task, inputs, wake);
-    }
-
-    // Interior / sink: find the acceptance sequence number, registering a
-    // waiting flag on the first empty input (if that channel never fills,
-    // the node cannot progress no matter what the others do).
-    let mut accept_seq = u64::MAX;
-    for port in &mut task.ins {
-        match port.rx.front_msg_or_register() {
-            Some(head) => accept_seq = accept_seq.min(head.seq()),
-            None => return false,
-        }
-    }
-    // Alignment check for interior nodes: the next acceptance would cross
-    // the snapshot barrier (EOS included — its sequence number is maximal),
-    // so this task's state — having consumed exactly the pre-barrier prefix
-    // of every input — belongs to the snapshot *now*, before consuming.
-    let epoch = snap.pending();
-    if epoch != 0 && task.snap_epoch != epoch && accept_seq >= snap.barrier() {
-        task.snap_epoch = epoch;
-        snap.contribute(task);
-    }
-    if accept_seq == u64::MAX {
-        // End of stream on every input.
-        for port in &mut task.outs {
-            port.queue.stage(port.limit, Message::Eos);
-            task.staged += 1;
-        }
-        task.eos_queued = true;
-        flush(task, wake);
-        mark_done_if_drained(task);
-        return true;
-    }
-
-    // Consume every head carrying the accepted sequence number.
-    task.data_in.fill(None);
-    let mut consumed_dummy = false;
-    for (idx, port) in task.ins.iter_mut().enumerate() {
-        let head = port.rx.front_msg().expect("all heads checked non-empty");
-        if head.seq() != accept_seq {
-            continue;
-        }
-        port.rx.pop_msg();
-        if port.rx.take_producer_waiting() {
-            wake(port.producer);
-        }
-        match head {
-            Message::Data { payload, .. } => task.data_in[idx] = Some(payload),
-            Message::Dummy { .. } => consumed_dummy = true,
-            Message::Eos => unreachable!("EOS has maximal sequence number"),
-        }
-    }
-
-    if task.data_in.iter().any(Option::is_some) {
-        if task.outs.is_empty() {
-            task.sink_firings += 1;
-        }
-        task.firings += 1;
-        let Task {
-            behavior,
-            data_in,
-            emit,
-            ..
-        } = task;
-        behavior.fire_into(
-            &FireInput {
-                seq: accept_seq,
-                data_in,
-            },
-            emit,
-        );
-        queue_outputs(task, accept_seq, true, consumed_dummy);
-    } else {
-        // Only dummies were consumed: no behaviour call, no data out.
-        queue_outputs(task, accept_seq, false, consumed_dummy);
-    }
-    flush(task, wake);
-    mark_done_if_drained(task);
-    true
-}
-
-fn step_source(task: &mut Task, inputs: u64, wake: &mut dyn FnMut(u32)) -> bool {
-    if task.next_source_seq < inputs {
-        let seq = task.next_source_seq;
-        task.next_source_seq += 1;
-        task.firings += 1;
-        task.behavior
-            .fire_into(&FireInput { seq, data_in: &[] }, &mut task.emit);
-        queue_outputs(task, seq, true, false);
-        flush(task, wake);
-        return true;
-    }
-    if !task.eos_queued {
-        task.eos_queued = true;
-        for port in &mut task.outs {
-            port.queue.stage(port.limit, Message::Eos);
-            task.staged += 1;
-        }
-        flush(task, wake);
-        mark_done_if_drained(task);
-        return true;
-    }
-    mark_done_if_drained(task);
-    false
-}
-
 /// Delivers as many staged containers as ring capacities allow; FIFO per
 /// channel, channels independent.  Registers the producer waiting flag
 /// (with the mandatory retry) on every channel that stays full, and wakes
 /// the consumer of every channel this delivery made non-empty.  The
 /// delivery counters advance by the *messages* that shipped (a container
 /// can deliver partially, split at the remaining message capacity).
-fn flush(task: &mut Task, wake: &mut dyn FnMut(u32)) -> bool {
+fn flush(task: &mut Task, wake: &mut dyn FnMut(u32)) {
     if task.staged == 0 {
-        return false;
+        return;
     }
-    let mut delivered = false;
     for port in &mut task.outs {
         loop {
             if port.queue.first.is_none() {
@@ -848,7 +826,6 @@ fn flush(task: &mut Task, wake: &mut dyn FnMut(u32)) -> bool {
                 break;
             }
             task.staged -= n;
-            delivered = true;
             let (d1, u1) = port.queue.first.as_ref().map_or((0, 0), |c| c.counts());
             port.data += d0 - d1;
             port.dummies += u0 - u1;
@@ -861,10 +838,6 @@ fn flush(task: &mut Task, wake: &mut dyn FnMut(u32)) -> bool {
             }
         }
     }
-    if delivered {
-        mark_done_if_drained(task);
-    }
-    delivered
 }
 
 fn mark_done_if_drained(task: &mut Task) {
@@ -942,10 +915,7 @@ pub(crate) fn assemble_report(
         report.steps += task.firings;
         report.per_node_firings[idx] = task.firings;
         report.sink_firings += task.sink_firings;
-        for port in &task.outs {
-            report.per_edge_data[port.edge as usize] = port.data;
-            report.per_edge_dummies[port.edge as usize] = port.dummies;
-        }
+        task.record_counters(&mut report.per_edge_data, &mut report.per_edge_dummies);
         if deadlocked && !task.done {
             if let Some(reason) = task.blocked_on() {
                 report.blocked.push(BlockedInfo {
@@ -962,4 +932,152 @@ pub(crate) fn assemble_report(
 
 fn edge_id(raw: u32) -> fila_graph::EdgeId {
     fila_graph::EdgeId::from_raw(raw)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::{Cell, RefCell};
+
+    use fila_graph::GraphBuilder;
+
+    use super::*;
+
+    const INPUTS: u64 = 16;
+
+    /// `src → mid → dst`, capacity 64, one `Task` per node in that order.
+    fn pipeline_tasks() -> Vec<Task> {
+        let mut b = GraphBuilder::new().default_capacity(64);
+        b.chain(&["src", "mid", "dst"]).unwrap();
+        let g = b.build().unwrap();
+        build_tasks(
+            &Topology::from_graph(&g),
+            &AvoidanceMode::Disabled,
+            PropagationTrigger::default(),
+            Batching::Messages(64),
+        )
+    }
+
+    /// What a task looked like when it contributed.
+    struct Contribution {
+        is_source: bool,
+        barrier: u64,
+        cursor: u64,
+        firings: u64,
+        staged: Vec<Message>,
+    }
+
+    /// A single-threaded scripted snapshot: on its `publish_at`-th
+    /// `pending()` call it publishes epoch 1 — with the barrier at the
+    /// cursor of `src` when one is held, else at the preset barrier — and
+    /// then runs `src` on for 4 firings, so post-barrier messages reach the
+    /// consumer mid-run.
+    struct ScriptedSnap {
+        publish_at: u32,
+        calls: Cell<u32>,
+        epoch: Cell<u64>,
+        barrier: Cell<u64>,
+        src: Option<RefCell<Task>>,
+        contributions: RefCell<Vec<Contribution>>,
+    }
+
+    impl ScriptedSnap {
+        fn new(publish_at: u32, barrier: u64, src: Option<Task>) -> Self {
+            ScriptedSnap {
+                publish_at,
+                calls: Cell::new(0),
+                epoch: Cell::new(0),
+                barrier: Cell::new(barrier),
+                src: src.map(RefCell::new),
+                contributions: RefCell::new(Vec::new()),
+            }
+        }
+    }
+
+    impl SnapSink for ScriptedSnap {
+        fn pending(&self) -> u64 {
+            self.calls.set(self.calls.get() + 1);
+            if self.epoch.get() == 0 && self.calls.get() == self.publish_at {
+                self.epoch.set(1);
+                if let Some(src) = &self.src {
+                    let mut src = src.borrow_mut();
+                    self.barrier.set(src.next_source_seq);
+                    run_task(&mut src, INPUTS, 4, &mut |_| {}, self);
+                }
+            }
+            self.epoch.get()
+        }
+
+        fn barrier(&self) -> u64 {
+            self.barrier.get()
+        }
+
+        fn contribute(&self, task: &mut Task) {
+            let mut staged = Vec::new();
+            for port in &task.outs {
+                port.queue.for_each(&mut |m| staged.push(m));
+            }
+            self.contributions.borrow_mut().push(Contribution {
+                is_source: task.is_source,
+                barrier: self.barrier.get(),
+                cursor: task.next_source_seq,
+                firings: task.firings,
+                staged,
+            });
+        }
+    }
+
+    #[test]
+    fn interior_task_contributes_with_no_pre_barrier_output_staged() {
+        // The epoch is published at each of `mid`'s first three `pending()`
+        // checks; in each case the run has pre-barrier messages in flight
+        // when the post-barrier head arrives.
+        for publish_at in 1..=3 {
+            let mut tasks = pipeline_tasks();
+            let _dst = tasks.pop().unwrap();
+            let mut mid = tasks.pop().unwrap();
+            let mut src = tasks.pop().unwrap();
+            let idle = ScriptedSnap::new(u32::MAX, 0, None);
+            run_task(&mut src, INPUTS, 4, &mut |_| {}, &idle);
+            assert_eq!(src.next_source_seq, 4);
+
+            let snap = ScriptedSnap::new(publish_at, 0, Some(src));
+            run_task(&mut mid, INPUTS, 64, &mut |_| {}, &snap);
+            let contributions = snap.contributions.borrow();
+            assert_eq!(
+                contributions.len(),
+                2,
+                "publish_at {publish_at}: src and mid"
+            );
+            for c in contributions.iter() {
+                assert_eq!(c.barrier, 4);
+                assert!(
+                    c.staged.iter().all(|m| m.seq() >= c.barrier),
+                    "publish_at {publish_at}: contributed with pre-barrier output staged: {:?}",
+                    c.staged
+                );
+            }
+            assert_eq!(mid.snap_epoch, 1);
+            // Everything `mid` accepted before the barrier was delivered.
+            assert_eq!(mid.outs[0].data, 4 + 4);
+        }
+    }
+
+    #[test]
+    fn source_stops_at_the_barrier_and_contributes_with_empty_staging() {
+        let mut tasks = pipeline_tasks();
+        let _dst = tasks.pop().unwrap();
+        let _mid = tasks.pop().unwrap();
+        let mut src = tasks.pop().unwrap();
+        // The epoch arrives while the cursor (0) is short of the barrier.
+        let snap = ScriptedSnap::new(1, 6, None);
+        run_task(&mut src, INPUTS, 64, &mut |_| {}, &snap);
+        let contributions = snap.contributions.borrow();
+        assert_eq!(contributions.len(), 1);
+        let c = &contributions[0];
+        assert!(c.is_source);
+        assert_eq!((c.cursor, c.firings), (6, 6));
+        assert!(c.staged.is_empty(), "{:?}", c.staged);
+        // The run went on past the barrier once the source contributed.
+        assert_eq!(src.next_source_seq, INPUTS);
+    }
 }

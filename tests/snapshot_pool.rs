@@ -55,7 +55,13 @@ fn busy_pool_barrier_snapshot_restores_to_simulator_counts() {
     // must be completely unaffected by the barrier.
     let bystander_topo = Topology::from_graph(&pipeline(12));
     let bystander = pool.submit(&bystander_topo, 5_000);
-    let handle = pool.submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&plan)), inputs);
+    let handle = pool.submit_full(
+        &topo,
+        AvoidanceMode::Plan(Arc::clone(&plan)),
+        PropagationTrigger::default(),
+        inputs,
+        None,
+    );
 
     // Snapshot the target while it runs.  The job is slowed enough that
     // the first checkpoint overwhelmingly lands mid-run; if it still
@@ -128,7 +134,13 @@ fn panic_after_checkpoint_recovers_from_last_snapshot() {
     assert!(reference.completed);
 
     let pool = SharedPool::new(2);
-    let handle = pool.submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&plan)), inputs);
+    let handle = pool.submit_full(
+        &topo,
+        AvoidanceMode::Plan(Arc::clone(&plan)),
+        PropagationTrigger::default(),
+        inputs,
+        None,
+    );
     let snapshot = handle.checkpoint();
     // Arm the bomb only after the checkpoint: the snapshot predates the
     // crash, which is exactly the recovery contract.
@@ -186,8 +198,13 @@ fn snapshots_cross_container_batching_modes() {
         (Batching::Messages(1), Batching::Unbounded),
     ] {
         let capture_pool = SharedPool::with_options(2, 64, None, false, capture_mode);
-        let handle =
-            capture_pool.submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&plan)), inputs);
+        let handle = capture_pool.submit_full(
+            &topo,
+            AvoidanceMode::Plan(Arc::clone(&plan)),
+            PropagationTrigger::default(),
+            inputs,
+            None,
+        );
         let snapshot = handle.checkpoint();
         let original = handle.wait();
         assert!(original.completed, "{original:?}");
@@ -237,7 +254,13 @@ fn pool_restore_rejects_drifted_plan_and_foreign_bytes() {
     );
     let topo = slow_filtered_topology(&g, Duration::from_micros(100));
     let pool = SharedPool::new(2);
-    let handle = pool.submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&prop)), inputs);
+    let handle = pool.submit_full(
+        &topo,
+        AvoidanceMode::Plan(Arc::clone(&prop)),
+        PropagationTrigger::default(),
+        inputs,
+        None,
+    );
     let Ok(snapshot) = handle.checkpoint() else {
         // Vanishingly unlikely with the slowed source; nothing to assert.
         return;
@@ -298,7 +321,13 @@ fn checkpoint_resume_checkpoint_chain_never_double_counts() {
     assert!(reference.completed);
 
     let pool = SharedPool::new(2);
-    let first = pool.submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&plan)), inputs);
+    let first = pool.submit_full(
+        &topo,
+        AvoidanceMode::Plan(Arc::clone(&plan)),
+        PropagationTrigger::default(),
+        inputs,
+        None,
+    );
     let Ok(snapshot1) = first.checkpoint() else {
         // The job outran its first checkpoint; the chain has nothing to
         // exercise (vanishingly unlikely with the slowed fork).

@@ -193,7 +193,7 @@ fn firing_spans_sum_to_delivered_messages() {
     use std::sync::Arc;
 
     use fila::runtime::filters::Predicate;
-    use fila::runtime::AvoidanceMode;
+    use fila::runtime::{AvoidanceMode, PropagationTrigger};
 
     let g = fork_cycle();
     let plan = Arc::new(
@@ -208,7 +208,13 @@ fn firing_spans_sum_to_delivered_messages() {
             .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 64 == 0));
         let pool = fila::runtime::SharedPool::with_options(2, 8, None, true, batching);
         let report = pool
-            .submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&plan)), 500)
+            .submit_full(
+                &topo,
+                AvoidanceMode::Plan(Arc::clone(&plan)),
+                PropagationTrigger::default(),
+                500,
+                None,
+            )
             .wait();
         assert!(report.completed, "{report:?}");
         assert!(report.dummy_messages > 0, "plan must generate dummy traffic");
